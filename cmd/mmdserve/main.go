@@ -7,13 +7,13 @@
 // Usage:
 //
 //	mmdserve [-tenants 8] [-shards 0] [-channels 40] [-gateways 10]
-//	         [-seed 1] [-rounds 2] [-batch 16] [-policy online]
+//	         [-seed 1] [-rounds 2] [-policy online]
 //	         [-depart-every 3] [-churn-every 0] [-resolve-every 0]
 //	         [-cost-model isolated|shared|off] [-share-fraction 0.25]
 //	         [-wal-dir dir] [-wal-sync none|interval|batch] [-checkpoint-every n]
 //	         [-shed-p99 dur] [-shed-retry-after dur] [-stream-write-timeout dur]
 //	         [-http addr [-role node|catalog|router] [-nodes urls] [-catalog-url url]
-//	          | -stream url [-via stream|batch|single]]
+//	          | -stream url [-via stream|batch|single] [-batch 16]]
 //
 // Without -http or -stream the deterministic report (fleet summary,
 // per-shard stats, per-tenant table, catalog table) goes to stdout: two
@@ -117,7 +117,7 @@ func main() {
 	flag.IntVar(&cfg.gateways, "gateways", 10, "gateways per tenant")
 	flag.Int64Var(&cfg.seed, "seed", 1, "workload seed")
 	flag.IntVar(&cfg.rounds, "rounds", 2, "catalog replays per tenant")
-	flag.IntVar(&cfg.batch, "batch", 16, "arrivals coalesced per shard before admission (and events per -via batch post)")
+	flag.IntVar(&cfg.batch, "batch", 16, "events per :batch post under -stream -via batch")
 	flag.StringVar(&cfg.policy, "policy", "online", "admission policy: online, online-unguarded, threshold, oracle, static")
 	flag.IntVar(&cfg.departEvery, "depart-every", 3, "inject a stream departure every k arrivals (0 = off)")
 	flag.IntVar(&cfg.churnEvery, "churn-every", 0, "inject a gateway leave/join every k arrivals (0 = off)")
@@ -273,7 +273,6 @@ func buildCluster(cfg config) (*videodist.Cluster, *videodist.RecoveryReport, er
 	}
 	opts := videodist.ClusterOptions{
 		Shards:       cfg.shards,
-		BatchSize:    cfg.batch,
 		ResolveEvery: cfg.resolveEvery,
 		Catalog:      cat,
 	}
@@ -472,8 +471,8 @@ func run(cfg config, out, timing io.Writer) error {
 		return err
 	}
 
-	fmt.Fprintf(out, "mmdserve: policy=%s seed=%d rounds=%d batch=%d\n\n",
-		cfg.policy, cfg.seed, cfg.rounds, cfg.batch)
+	fmt.Fprintf(out, "mmdserve: policy=%s seed=%d rounds=%d\n\n",
+		cfg.policy, cfg.seed, cfg.rounds)
 	fmt.Fprint(out, fs.Render())
 	fmt.Fprintf(timing, "processed %d events in %v (%.0f events/s)\n",
 		total, elapsed.Round(time.Microsecond), float64(total)/elapsed.Seconds())

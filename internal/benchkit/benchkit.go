@@ -221,7 +221,7 @@ func ClusterWorkload(b *testing.B, shards int) {
 			tenants[j] = videodist.ClusterTenant{Instance: in}
 		}
 		c, err := videodist.NewCluster(tenants, videodist.ClusterOptions{
-			Shards: shards, BatchSize: 16,
+			Shards: shards,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -244,8 +244,8 @@ func ClusterWorkload(b *testing.B, shards int) {
 }
 
 // ClusterAck drives the same 8-tenant workload through the serving API
-// v2 session methods — every event carries a completion channel and the
-// caller blocks for its typed result — the body of BenchmarkClusterAck.
+// v2 session methods — every event is a window of one and the caller
+// blocks for its typed result — the body of BenchmarkClusterAck.
 // The fleet is built (and torn down) outside the timer, exactly like
 // StreamIngest: a production cluster is constructed once and serves
 // events for its lifetime, so ns/op and allocs/op measure the serving
@@ -263,7 +263,7 @@ func ClusterAck(b *testing.B) {
 			tenants[j] = videodist.ClusterTenant{Instance: in}
 		}
 		c, err := videodist.NewCluster(tenants, videodist.ClusterOptions{
-			Shards: 8, BatchSize: 16,
+			Shards: 8,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -348,7 +348,7 @@ func ClusterCatalog(b *testing.B, shared bool) {
 			tenants[j] = videodist.ClusterTenant{Instance: in}
 		}
 		c, err := videodist.NewCluster(tenants, videodist.ClusterOptions{
-			Shards: 8, BatchSize: 16,
+			Shards:  8,
 			Catalog: &videodist.CatalogOptions{Streams: bindings, CostModel: model},
 		})
 		if err != nil {
@@ -428,7 +428,7 @@ func StreamIngest(b *testing.B, via string) {
 		for j, in := range instances {
 			tenants[j] = videodist.ClusterTenant{Instance: in}
 		}
-		c, err := videodist.NewCluster(tenants, videodist.ClusterOptions{Shards: 8, BatchSize: 16})
+		c, err := videodist.NewCluster(tenants, videodist.ClusterOptions{Shards: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -502,8 +502,8 @@ func StreamIngestWAL(b *testing.B, sync videodist.WALSyncPolicy) {
 			tenants[j] = videodist.ClusterTenant{Instance: in}
 		}
 		c, err := videodist.NewCluster(tenants, videodist.ClusterOptions{
-			Shards: 8, BatchSize: 16,
-			WAL: &videodist.WALOptions{Dir: dir, Sync: sync},
+			Shards: 8,
+			WAL:    &videodist.WALOptions{Dir: dir, Sync: sync},
 		})
 		if err != nil {
 			b.Fatal(err)

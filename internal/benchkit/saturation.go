@@ -76,7 +76,7 @@ func Saturate(shards, procs, rounds int) (SaturationPoint, error) {
 	for i, in := range instances {
 		tenants[i] = videodist.ClusterTenant{Instance: in}
 	}
-	c, err := videodist.NewCluster(tenants, videodist.ClusterOptions{Shards: shards, BatchSize: 16})
+	c, err := videodist.NewCluster(tenants, videodist.ClusterOptions{Shards: shards})
 	if err != nil {
 		return SaturationPoint{}, err
 	}

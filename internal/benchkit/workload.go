@@ -101,7 +101,7 @@ func WorkloadIngest(b *testing.B, kind string) {
 			tenants[j] = videodist.ClusterTenant{Instance: in}
 		}
 		c, err := videodist.NewCluster(tenants, videodist.ClusterOptions{
-			Shards: 8, BatchSize: 16,
+			Shards:  8,
 			Catalog: workloadCatalog(len(instances), instances[0].NumStreams()),
 		})
 		if err != nil {
@@ -177,7 +177,7 @@ func SaturateWorkload(shards, procs, rounds int, kind string) (SaturationPoint, 
 		tenants[i] = videodist.ClusterTenant{Instance: in}
 	}
 	c, err := videodist.NewCluster(tenants, videodist.ClusterOptions{
-		Shards: shards, BatchSize: 16,
+		Shards:  shards,
 		Catalog: workloadCatalog(len(instances), instances[0].NumStreams()),
 	})
 	if err != nil {

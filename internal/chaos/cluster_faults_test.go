@@ -30,7 +30,7 @@ func faultFleet(t *testing.T, shards int, fs wal.FS) (*cluster.Cluster, string) 
 	}
 	dir := t.TempDir()
 	c, err := cluster.New(cfgs, cluster.Options{
-		Shards: shards, BatchSize: 4,
+		Shards: shards,
 		Catalog: &cluster.CatalogOptions{
 			Streams: catalog.IdentityBindings(tenants, channels, func(s int) catalog.ID {
 				return catalog.ID(fmt.Sprintf("ch-%03d", s))
@@ -105,7 +105,7 @@ func TestLatchedFsyncFailsFast(t *testing.T) {
 	}
 
 	recovered, rep, err := cluster.Recover(tenantsLike(t), cluster.Options{
-		Shards: 2, BatchSize: 4,
+		Shards: 2,
 		Catalog: &cluster.CatalogOptions{
 			Streams: catalog.IdentityBindings(4, 8, func(s int) catalog.ID {
 				return catalog.ID(fmt.Sprintf("ch-%03d", s))
@@ -170,7 +170,7 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	// Abandon mid-flight: the swallowed tail models the crash.
 
 	recovered, rep, err := cluster.Recover(tenantsLike(t), cluster.Options{
-		Shards: 4, BatchSize: 4,
+		Shards: 4,
 		Catalog: &cluster.CatalogOptions{
 			Streams: catalog.IdentityBindings(4, 8, func(s int) catalog.ID {
 				return catalog.ID(fmt.Sprintf("ch-%03d", s))

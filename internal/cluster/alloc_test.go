@@ -1,7 +1,7 @@
 package cluster
 
 // Allocation-budget regression tests for the pooled serving hot path.
-// The v6 pooling work (recycled completion channels, recycled stream
+// The v6 pooling work (recycled session windows, recycled stream
 // entries, scratch buffers in the allocator and guard) made the steady
 // states below allocation-free; these tests pin that with
 // testing.AllocsPerRun so a stray per-event allocation fails CI rather
@@ -20,7 +20,7 @@ func allocTestCluster(t *testing.T) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New([]TenantConfig{{Instance: in}}, Options{Shards: 1, BatchSize: 8})
+	c, err := New([]TenantConfig{{Instance: in}}, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +53,8 @@ func admittedStream(t *testing.T, c *Cluster) int {
 // (the ClusterAck benchmark's hot path): once warm, an offer that the
 // tenant rejects (already carried) and a departure of a stream it does
 // not carry cross the shard queue, settle, and reply without a single
-// allocation — the completion channel comes from the pool and goes
-// back, and no result payload is built for a no-op.
+// allocation — the window of one comes from the pool and goes back,
+// and no result payload is built for a no-op.
 func TestSessionSteadyStateAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counters are unreliable under -race")
@@ -111,7 +111,8 @@ func TestSessionOfferDepartCycleAllocBudget(t *testing.T) {
 
 // TestStreamSteadyStateAllocationFree pins the pooled pipelined path
 // (the StreamIngest benchmark's cluster-side hot path): a warm
-// StreamConn recycles its pending entries and ack channels, so a
+// StreamConn recycles its pending entries (each with its window of
+// one), so a
 // submit+recv of a rejected offer allocates nothing at all.
 func TestStreamSteadyStateAllocationFree(t *testing.T) {
 	if raceEnabled {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/catalog"
 )
@@ -30,28 +29,24 @@ type EventResult struct {
 	Err error
 }
 
-// ApplyBatch applies a sequence of events for one tenant as a single
-// shard message: the whole batch crosses the queue once, the worker
-// applies it in order inside one batch window (each contiguous run of
-// arrivals is coalesced exactly as the fire-and-forget replay path
-// coalesces), and one typed result per event comes back positionally.
-// This is the remote caller's answer to RunWorkload's batching — N
-// single session calls pay N queue crossings and N flush boundaries,
-// one ApplyBatch pays one of each.
+// ApplyBatch applies a sequence of events for one tenant as one window:
+// the whole batch crosses the shard queue once, the worker applies it
+// in order, and one typed result per event comes back positionally —
+// N single session calls pay N queue crossings and N replies, one
+// ApplyBatch pays one of each.
 //
 // Catalog events are first-class batch citizens: an arrival or
 // departure carrying a CatalogID runs the catalog protocol exactly like
-// OfferCatalogStream / DepartCatalogStream, with two differences of
-// mechanics, not semantics. All of the batch's catalog arrivals are
+// OfferCatalogStream / DepartCatalogStream, with one difference of
+// mechanics, not semantics: all of the batch's catalog arrivals are
 // priced in one registry round trip (catalog.Registry.AcquireBatch)
 // before the batch crosses the shard queue — each acquisition sees the
 // ones before it, exactly as if the events had been pipelined on a
-// StreamConn — and the worker flushes the batch's settlements in one
-// ordered SettleBatch round trip before acking, preserving worker-FIFO
-// settlement order exactly. Because pricing happens at submission (as
-// on a pipelined stream), a depart-then-re-offer of the same CatalogID
-// *within one batch* is quoted against the pre-batch sharing state;
-// split phases across batches when serial per-call pricing is wanted.
+// StreamConn. (The worker settles them in one ordered SettleBatch
+// round trip before replying, as it does for every window.) Because
+// pricing happens at submission (as on a pipelined stream), a depart-then-re-offer of the same CatalogID *within one
+// batch* is quoted against the pre-batch sharing state; split phases
+// across batches when serial per-call pricing is wanted.
 //
 // The Tenant and CostScale fields of each event are overridden (tenant
 // from the call; the scale from the catalog ticket, or cleared —
@@ -60,124 +55,34 @@ type EventResult struct {
 // honored on arrivals and departures and cleared on other event types,
 // following the StreamConn convention. Catalog events require
 // Options.Catalog and known bindings; violations fail the whole batch
-// before any event applies. On a context error the batch may still be
-// applied (it is already queued); only the results are lost, exactly
-// like the single-event session methods.
+// before any event applies. An empty batch still crosses the queue, so
+// it reports ErrClosed / ErrCanceled / ErrUnknownTenant like every other
+// call. On a context error the batch may still be applied (it is
+// already queued); only the results are lost, exactly like the
+// single-event session methods.
 func (c *Cluster) ApplyBatch(ctx context.Context, tenant int, events []Event) ([]EventResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// An empty batch still flows through enqueue, so it reports
-	// ErrClosed / ErrCanceled / ErrUnknownTenant exactly like every
-	// other session call instead of silently succeeding.
-	batch := make([]Event, len(events))
-	var offers []int // batch indexes of catalog arrivals, in order
-	var ids []catalog.ID
-	for i, ev := range events {
-		if err := validEventType(ev.Type); err != nil {
-			return nil, fmt.Errorf("cluster: batch event %d: %w", i, err)
-		}
-		ev.Tenant = tenant
-		ev.CostScale = 0
-		ev.originPayer = false
-		if ev.CatalogID != "" && ev.Type != EventStreamArrival && ev.Type != EventStreamDeparture {
-			ev.CatalogID = ""
-		}
-		if ev.CatalogID != "" && ev.Type == EventStreamArrival {
-			offers = append(offers, i)
-			ids = append(ids, ev.CatalogID)
-		}
-		batch[i] = ev
+	w := window{
+		evs:  append([]Event(nil), events...),
+		out:  make([]result, len(events)),
+		done: make(chan struct{}, 1),
 	}
-	// The catalog lookups, the pricing round trip, and the enqueue share
-	// one read-locked section (Reshard swaps the layout and the registry
-	// under the write lock); the lock drops before the result wait.
-	ack := c.getBatchAck()
-	fail := func(err error) ([]EventResult, error) {
-		c.mu.RUnlock()
-		c.putBatchAck(ack)
+	tks, err := c.submitWindow(ctx, tenant, w, nil)
+	if err != nil {
 		return nil, err
 	}
-	c.mu.RLock()
-	for i := range batch {
-		if batch[i].CatalogID == "" {
-			continue
-		}
-		if c.catalog == nil {
-			return fail(fmt.Errorf("cluster: batch event %d: %w", i, ErrNoCatalog))
-		}
-		local, err := c.catalog.Lookup(batch[i].CatalogID, tenant)
-		if err != nil {
-			return fail(fmt.Errorf("cluster: batch event %d: %w", i, wrapCatalogErr(err)))
-		}
-		batch[i].Stream = local
+	if err := awaitReply(ctx, w.done); err != nil {
+		return nil, err
 	}
-	var tickets []catalog.Ticket
-	if len(ids) > 0 {
-		// One pricing round trip for the whole batch; every ticket takes
-		// a provisional reference the worker will settle in order.
-		tickets = make([]catalog.Ticket, len(ids))
-		if err := c.catalog.AcquireBatch(tenant, ids, tickets); err != nil {
-			return fail(fmt.Errorf("cluster: batch: %w", wrapCatalogErr(err)))
+	out := make([]EventResult, len(w.evs))
+	for i := range w.evs {
+		var tk *catalog.Ticket
+		if w.evs[i].catalogOffer() {
+			tk, tks = &tks[0], tks[1:]
 		}
-		for k, i := range offers {
-			batch[i].Stream = tickets[k].Local
-			batch[i].CostScale = tickets[k].Scale
-			batch[i].originPayer = tickets[k].OriginPayer
-		}
-	}
-	if err := c.enqueueLocked(ctx, tenant, message{batch: batch, batchAck: ack}); err != nil {
-		// Never enqueued: drop every provisional reference the batch
-		// acquired, in one round trip (still under the lock, so the
-		// releases reach the registry that priced them).
-		if len(tickets) > 0 {
-			rel := make([]catalog.Settlement, len(tickets))
-			for k, tk := range tickets {
-				rel[k] = catalog.Settlement{Op: catalog.SettleReleasePending,
-					ID: ids[k], Tenant: tenant, Origin: tk.OriginPayer}
-			}
-			_ = c.catalog.SettleBatch(rel, nil)
-		}
-		return fail(err)
-	}
-	in := c.tenants[tenant].Instance()
-	c.mu.RUnlock()
-	var out []EventResult
-	select {
-	case out = <-ack:
-		c.putBatchAck(ack)
-	case <-ctx.Done():
-		// Once enqueued, the worker settles every reference itself; an
-		// abandoned ack is leaked to the garbage collector, never
-		// recycled (the worker may still deliver into it).
-		return nil, fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
-	}
-	// Assemble the catalog results the worker could not know (ticket
-	// context lives caller-side, mirroring the stream path): the worker
-	// backfilled Catalog.Refs/Evicted from its settlement flush.
-	for k, i := range offers {
-		tk := tickets[k]
-		res := &out[i]
-		res.CatalogID = ids[k]
-		res.Catalog.Admitted = res.Offer.Accepted
-		res.Catalog.Subscribers = res.Offer.Subscribers
-		res.Catalog.Utility = res.Offer.Utility
-		res.Catalog.SharedWith = tk.SharedWith
-		res.Catalog.CostScale = tk.Scale
-		res.Catalog.FullCost = in.StreamCostSum(tk.Local)
-		if res.Catalog.Admitted {
-			res.Catalog.CostCharged = tk.Scale * res.Catalog.FullCost
-		}
-		res.Offer = OfferResult{}
-	}
-	for i := range batch {
-		if batch[i].CatalogID != "" && batch[i].Type == EventStreamDeparture {
-			res := &out[i]
-			res.CatalogID = batch[i].CatalogID
-			res.Catalog.Removed = res.Depart.Removed
-			res.Catalog.Subscribers = res.Depart.Subscribers
-			res.Depart = DepartResult{}
-		}
+		out[i] = c.eventResult(&w.evs[i], tk, &w.out[i])
 	}
 	return out, nil
 }

@@ -83,75 +83,25 @@ type CatalogResult struct {
 // a successful admission takes a fleet reference. A rejection (policy
 // "no", or the tenant already carries the stream) is a successful call
 // with Admitted false, mirroring OfferStream.
+//
+// Acquire takes a provisional reference in every case — also when the
+// tenant already holds the stream — so a concurrent departure cannot
+// evict the origin while this admission is in flight. The worker
+// classifies the settlement (commit, recharge for a re-offer under an
+// existing reference, release on rejection) against its own
+// held-reference set at apply time; a re-offer of a stream the tenant
+// still carries is a rejection, exactly like OfferStream.
 func (c *Cluster) OfferCatalogStream(ctx context.Context, tenant int, id catalog.ID) (CatalogResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	if id == "" {
+		return CatalogResult{}, errEmptyCatalogID
 	}
-	// The acquire, the enqueue, and the instance capture share one read-
-	// locked section: Reshard swaps the layout (and the registry) under
-	// the write lock, so the reference must land on the same registry
-	// generation the event will settle against. The lock drops before
-	// the result wait.
-	ack := c.getAck()
-	c.mu.RLock()
-	reg, err := c.catalogFor(tenant)
+	ev := Event{Tenant: tenant, Type: EventStreamArrival, CatalogID: id}
+	var tk catalog.Ticket
+	res, err := c.call(ctx, ev, &tk)
 	if err != nil {
-		c.mu.RUnlock()
-		c.putAck(ack)
 		return CatalogResult{}, err
 	}
-	// Acquire takes a provisional reference in every case — also when
-	// the tenant already holds the stream — so a concurrent departure
-	// cannot evict the origin while this admission is in flight. The
-	// worker classifies the settlement (commit, recharge for a re-offer
-	// under an existing reference, release on rejection) against its
-	// own held-reference set at apply time; a re-offer of a stream the
-	// tenant still carries is a rejection, exactly like OfferStream.
-	tk, err := reg.Acquire(id, tenant)
-	if err != nil {
-		c.mu.RUnlock()
-		c.putAck(ack)
-		return CatalogResult{}, wrapCatalogErr(err)
-	}
-	ev := Event{Tenant: tenant, Type: EventStreamArrival, Stream: tk.Local,
-		CostScale: tk.Scale, CatalogID: id, originPayer: tk.OriginPayer}
-	in := c.tenants[tenant].Instance()
-	if err := c.enqueueLocked(ctx, tenant, message{ev: ev, ack: ack}); err != nil {
-		// Never enqueued: the provisional reference is dropped (still
-		// under the lock, so it reaches the registry it came from).
-		reg.Release(id, tenant, false, tk.OriginPayer)
-		c.mu.RUnlock()
-		c.putAck(ack)
-		return CatalogResult{}, err
-	}
-	c.mu.RUnlock()
-	// Once enqueued, the worker settles the reference itself (commit or
-	// release, in shard FIFO order) — a canceled caller has nothing to
-	// reconcile. An abandoned ack is leaked, never recycled.
-	var res result
-	select {
-	case res = <-ack:
-		c.putAck(ack)
-	case <-ctx.Done():
-		return CatalogResult{}, fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
-	}
-	out := CatalogResult{
-		Admitted:    res.offer.Accepted,
-		Subscribers: res.offer.Subscribers,
-		Utility:     res.offer.Utility,
-		Refs:        res.refs,
-		SharedWith:  tk.SharedWith,
-		CostScale:   tk.Scale,
-		FullCost:    in.StreamCostSum(tk.Local),
-		// A rejected offer's released provisional reference can be the
-		// one that drains an occupied origin (the last confirmed holder
-		// already departed while this admission was in flight).
-		Evicted: res.evicted,
-	}
-	if out.Admitted {
-		out.CostCharged = tk.Scale * out.FullCost
-	}
-	return out, nil
+	return c.catalogResult(&ev, &tk, &res), nil
 }
 
 // DepartCatalogStream departs the fleet-identified stream id from
@@ -161,50 +111,15 @@ func (c *Cluster) OfferCatalogStream(ctx context.Context, tenant int, id catalog
 // DepartStream — but a fleet reference the tenant still holds is
 // released even then, so a by-ID departure always cleans up.
 func (c *Cluster) DepartCatalogStream(ctx context.Context, tenant int, id catalog.ID) (CatalogResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	if id == "" {
+		return CatalogResult{}, errEmptyCatalogID
 	}
-	// Lookup and enqueue share one read-locked section (see
-	// OfferCatalogStream); the lock drops before the result wait.
-	ack := c.getAck()
-	c.mu.RLock()
-	reg, err := c.catalogFor(tenant)
+	ev := Event{Tenant: tenant, Type: EventStreamDeparture, CatalogID: id}
+	res, err := c.call(ctx, ev, nil)
 	if err != nil {
-		c.mu.RUnlock()
-		c.putAck(ack)
 		return CatalogResult{}, err
 	}
-	local, err := reg.Lookup(id, tenant)
-	if err != nil {
-		c.mu.RUnlock()
-		c.putAck(ack)
-		return CatalogResult{}, wrapCatalogErr(err)
-	}
-	ev := Event{Tenant: tenant, Type: EventStreamDeparture, Stream: local, CatalogID: id}
-	err = c.enqueueLocked(ctx, tenant, message{ev: ev, ack: ack})
-	c.mu.RUnlock()
-	if err != nil {
-		c.putAck(ack)
-		return CatalogResult{}, err
-	}
-	// The worker settles the reference (release on removal) in shard
-	// FIFO order; a canceled caller has nothing to reconcile.
-	var res result
-	select {
-	case res = <-ack:
-		c.putAck(ack)
-	case <-ctx.Done():
-		return CatalogResult{}, fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
-	}
-	if res.err != nil {
-		return CatalogResult{}, res.err
-	}
-	return CatalogResult{
-		Removed:     res.depart.Removed,
-		Subscribers: res.depart.Subscribers,
-		Refs:        res.refs,
-		Evicted:     res.evicted,
-	}, nil
+	return c.catalogResult(&ev, nil, &res), nil
 }
 
 // CatalogSnapshot returns the registry state on demand (the same
@@ -228,16 +143,9 @@ type catalogLocal struct {
 	local int
 }
 
-// catalogFor validates the tenant index and the presence of a catalog.
-func (c *Cluster) catalogFor(tenant int) (catalog.Service, error) {
-	if tenant < 0 || tenant >= len(c.tenants) {
-		return nil, fmt.Errorf("%w: tenant %d out of range [0,%d)", ErrUnknownTenant, tenant, len(c.tenants))
-	}
-	if c.catalog == nil {
-		return nil, ErrNoCatalog
-	}
-	return c.catalog, nil
-}
+// errEmptyCatalogID rejects a by-ID call without an ID: an event with
+// no CatalogID would route as a plain local-index event.
+var errEmptyCatalogID = fmt.Errorf("%w: empty id", ErrUnknownCatalogStream)
 
 // wrapCatalogErr maps registry errors onto the cluster sentinel while
 // keeping the original in the chain.

@@ -34,7 +34,7 @@ func catalogTestFleet(t *testing.T, n, channels, gateways int, seed int64, egres
 		return catalog.ID(fmt.Sprintf("s-%03d", s))
 	})
 	c, err := New(cfgs, Options{
-		Shards: shards, BatchSize: 8,
+		Shards:  shards,
 		Catalog: &CatalogOptions{Streams: bindings, CostModel: model},
 	})
 	if err != nil {
@@ -101,7 +101,7 @@ func TestCatalogIsolatedBitIdenticalToPlainSessions(t *testing.T) {
 			}
 			cfgs[i] = TenantConfig{Instance: in}
 		}
-		c, err := New(cfgs, Options{Shards: 1, BatchSize: 8})
+		c, err := New(cfgs, Options{Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,6 +287,17 @@ func TestCatalogErrors(t *testing.T) {
 	}
 	if _, err := c.DepartCatalogStream(ctx, 0, "nope"); !errors.Is(err, ErrUnknownCatalogStream) {
 		t.Fatalf("unknown id depart: %v", err)
+	}
+	// An empty ID names no catalog stream; it must not fall through to a
+	// plain local-index event.
+	if _, err := c.OfferCatalogStream(ctx, 0, ""); !errors.Is(err, ErrUnknownCatalogStream) {
+		t.Fatalf("empty id: %v", err)
+	}
+	if _, err := c.DepartCatalogStream(ctx, 0, ""); !errors.Is(err, ErrUnknownCatalogStream) {
+		t.Fatalf("empty id depart: %v", err)
+	}
+	if fs, err := c.Snapshot(); err != nil || fs.Offered != 0 || fs.Departed != 0 {
+		t.Fatalf("rejected catalog calls applied events: %+v, %v", fs, err)
 	}
 	if _, err := c.OfferCatalogStream(ctx, 7, "s-000"); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("unknown tenant: %v", err)

@@ -6,33 +6,24 @@
 // and each shard runs a single worker goroutine that owns its tenants
 // outright — no locks, no shared mutable state between shards.
 //
-// # Shard / batch / determinism contract
+// # Shard / window / determinism contract
 //
-// Events (stream arrivals, stream departures, gateway leaves/joins,
-// offline re-solves) are routed to the owning shard over a buffered
-// channel and processed strictly in submission order per shard. Stream
-// arrivals are coalesced: a shard accumulates up to Options.BatchSize
-// consecutive arrivals, then admits them grouped by tenant (groups in
-// first-appearance order, per-tenant arrival order preserved), so each
-// tenant's policy state is activated once per batch instead of once
-// per event. Tenants are independent, so grouping never changes
-// results. A partial batch is flushed by the next non-arrival event, a
-// request/response arrival (one carrying a completion channel — see
-// below), a snapshot barrier, or shutdown — never by a timer — which
-// keeps flush boundaries (and the per-shard batch stats) a pure
-// function of the submission sequence.
+// Every submission reaches its shard in one shape: a window of events
+// (see window), applied strictly in order on the shard's worker, with
+// one reply signalled after the whole window applied. A session call is
+// a window of one, ApplyBatch a window of n, each StreamConn event a
+// window of one; the fire-and-forget replay paths (RunWorkload, WAL
+// recovery) send windows with no reply. Windows are processed in the
+// order they reach the shard, so per-tenant order is submission order
+// on every path.
 //
 // # Request/response sessions (serving API v2)
 //
 // The public surface is typed and per operation: OfferStream,
 // DepartStream, UserLeave, UserJoin, and Resolve each route one event
-// to the owning shard with a per-event completion channel attached and
-// block until the worker replies with a typed result (OfferResult,
-// DepartResult, ChurnResult, ResolveResult). So that a blocked caller
-// never waits on a trailing partial batch, an arrival carrying a
-// completion channel flushes the batch it joins immediately; arrivals
-// submitted by the fire-and-forget replay path (RunWorkload) coalesce
-// exactly as before. Failures use the sentinel taxonomy in session.go
+// to the owning shard as a window of one and block until the worker
+// replies with a typed result (OfferResult, DepartResult, ChurnResult,
+// ResolveResult). Failures use the sentinel taxonomy in session.go
 // (ErrUnknownTenant, ErrQueueFull, ErrClosed, ErrCanceled) and the
 // enqueue side honors Options.Backpressure.
 //
@@ -194,9 +185,6 @@ type Options struct {
 	// Shards is the number of worker goroutines (default
 	// min(GOMAXPROCS, tenants)). Results are independent of Shards.
 	Shards int
-	// BatchSize is the number of consecutive stream arrivals a shard
-	// coalesces before invoking the policy (default 16).
-	BatchSize int
 	// QueueDepth is the per-shard event channel buffer (default 256).
 	QueueDepth int
 	// ResolveEvery triggers an offline re-solve of a tenant after every
@@ -254,9 +242,6 @@ func (o Options) withDefaults(tenants int) Options {
 	if o.Shards > tenants {
 		o.Shards = tenants
 	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 16
-	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 256
 	}
@@ -267,26 +252,32 @@ func (o Options) withDefaults(tenants int) Options {
 type ShardStats struct {
 	// Shard is the shard index; Tenants is how many tenants it owns.
 	Shard, Tenants int
-	// Events counts all processed events; Batches and MaxBatch describe
-	// arrival coalescing.
-	Events, Batches, MaxBatch int
+	// Events counts all processed events.
+	Events int
 	// Arrivals..Resolves break Events down by type (Admitted counts
 	// arrivals that delivered to at least one user).
 	Arrivals, Admitted, Departures, Leaves, Joins, Resolves int
 }
 
-// message is the shard channel payload: an event (with an optional
-// per-event completion channel), a single-tenant event batch when batch
-// is non-nil (see Cluster.ApplyBatch), or a barrier request when snap is
-// non-nil. ack and batchAck are always buffered with capacity 1 so the
-// worker never blocks delivering a result, even when the caller has
-// abandoned the call on context cancellation.
+// message is the shard channel payload: a window of events, or a
+// barrier request when snap is non-nil.
 type message struct {
-	ev       Event
-	ack      chan result
-	batch    []Event
-	batchAck chan []EventResult
-	snap     chan shardReport
+	win  window
+	snap chan shardReport
+}
+
+// window is the one submission shape into a shard worker: a run of
+// events for the shard, applied in order. For a window with a reply,
+// out holds one caller-owned result slot per event and done (buffered,
+// capacity 1, so the worker never blocks even when the caller abandoned
+// the wait) is signalled once, after the whole window applied and —
+// under SyncBatch — committed; the caller reads out only after that
+// signal. A window with a nil done is fire-and-forget: out is nil, and
+// a failed re-solve latches as the shard's first error instead.
+type window struct {
+	evs  []Event
+	out  []result
+	done chan struct{}
 }
 
 type shardReport struct {
@@ -307,26 +298,23 @@ type shard struct {
 	churn map[int]int // tenant -> churn events seen (ResolveEvery)
 	err   error
 
-	// Settlement scratch, worker-owned and reused across batch windows:
-	// a batch defers its catalog settlements here and flushes them to
-	// the registry in one SettleBatch round trip (see dispatchSettle);
-	// settleSlots records which result slot each settlement backfills
-	// (-1 for none). settleOne is the immediate-mode one-op buffer.
-	settles      []catalog.Settlement
-	settleSlots  []int
-	settleRes    []catalog.SettleResult
-	settleOne    [1]catalog.Settlement
-	settleOneRes [1]catalog.SettleResult
+	// Settlement scratch, worker-owned and reused across windows: the
+	// window's catalog settlements are buffered here and flushed to the
+	// registry in one SettleBatch round trip before the reply (see
+	// flushSettles); settleSlots records which event of the window each
+	// settlement belongs to.
+	settles     []catalog.Settlement
+	settleSlots []int
+	settleRes   []catalog.SettleResult
 
 	// Durability plane, worker-owned. wal is the shard's segment
 	// appender (nil with no WAL, and during recovery/reshard replay —
 	// replayed events are already in the log). replay suppresses
 	// catalog settlements while the registry is rebuilt from its own
 	// log plane; it is flipped off at go-live, while the worker is
-	// provably idle. Under SyncBatch the worker defers result delivery
-	// (pendAcks/pendBatch) and hands a group off at each commit point —
-	// queue-empty, pending at commitGroupBound, barrier, or shutdown —
-	// to the
+	// provably idle. Under SyncBatch the worker defers window replies
+	// (pend) and hands a group off at each commit point — queue-empty,
+	// pending at commitGroupBound, barrier, or shutdown — to the
 	// shard's committer goroutine (commits/commitDone), which fsyncs
 	// both planes' segments before delivering the group's results:
 	// pipelined group commit. The worker keeps applying while the fsync
@@ -335,45 +323,28 @@ type shard struct {
 	wal        *wal.Appender
 	replay     bool
 	deferAcks  bool
-	pendAcks   []pendAck
-	pendBatch  []pendBatchAck
+	pend       []window
 	commits    chan commitGroup
 	commitDone chan struct{}
 	commitMu   sync.Mutex
 	commitErr  error
 
-	// Freelists recycling delivered groups' ack slices back to the
+	// pendFree recycles delivered groups' window slices back to the
 	// worker (committer sends, releaseAcks receives; both non-blocking —
-	// a miss just allocates). At commitGroupBound-sized groups the
-	// slices are the batch path's dominant allocation, and without
-	// recycling each
-	// one lives exactly one commit round: steady GC pressure on the hot
-	// path for memory that is immediately reusable.
-	ackFree   chan []pendAck
-	batchFree chan []pendBatchAck
-}
-
-// pendAck and pendBatchAck are deferred result deliveries under the
-// SyncBatch group-commit policy (see shard).
-type pendAck struct {
-	ch  chan result
-	res result
-}
-
-type pendBatchAck struct {
-	ch  chan []EventResult
-	res []EventResult
+	// a miss just allocates). Without recycling each slice lives exactly
+	// one commit round: steady GC pressure on the hot path for memory
+	// that is immediately reusable.
+	pendFree chan []window
 }
 
 // commitGroup is one deferred-acknowledgement group handed from a
 // shard worker to its committer: make the carried appenders durable,
-// then deliver the results. done, when non-nil, is closed after
-// delivery — the worker's drain barrier (such a group may carry no
-// results at all).
+// then reply to the windows. done, when non-nil, is closed after the
+// replies — the worker's drain barrier (such a group may carry no
+// windows at all).
 type commitGroup struct {
 	wal, cat *wal.Appender
-	acks     []pendAck
-	batches  []pendBatchAck
+	wins     []window
 	done     chan struct{}
 }
 
@@ -395,12 +366,12 @@ type Cluster struct {
 	// catalogLocals[tenant] lists the tenant's catalog bindings in
 	// Options.Catalog.Streams order — the worker walks it after an
 	// installing re-solve to find fleet streams the new lineup dropped,
-	// so their references can be released (see applyEvent).
+	// so their references can be released (see apply).
 	catalogLocals [][]catalogLocal
 	// catalogByLocal[tenant] inverts the binding table (local stream
 	// index → fleet ID) so a local-index departure of a catalog-bound
 	// stream can settle its fleet reference on the worker exactly like a
-	// by-ID departure (see applyEvent) — a plain DepartStream must not
+	// by-ID departure (see apply) — a plain DepartStream must not
 	// leak the reference.
 	catalogByLocal []map[int]catalog.ID
 	// heldCatalog[tenant] is the worker-maintained set of fleet streams
@@ -411,18 +382,16 @@ type Cluster struct {
 	// rest of the catalog).
 	heldCatalog []map[catalog.ID]bool
 
-	// Hot-path pools. Ownership rule for every pooled completion
-	// channel: the side that *receives* the reply recycles the channel,
-	// and only after draining it — a call abandoned on context
-	// cancellation never recycles (the worker may still deliver into
-	// it), it leaks the channel to the garbage collector instead.
-	// Snapshot's barrier buffers follow the same rule: the reply
+	// Hot-path pools. Ownership rule for every pooled reply: the side
+	// that *receives* the reply recycles it, and only after draining it —
+	// a call abandoned on context cancellation never recycles (the worker
+	// may still deliver into it), it leaks to the garbage collector
+	// instead. Snapshot's barrier buffers follow the same rule: the reply
 	// channel and the per-shard snapshot maps come from pools, and
 	// Snapshot returns them only after the barrier fully drained.
-	ackPool      sync.Pool // chan result, capacity 1
-	batchAckPool sync.Pool // chan []EventResult, capacity 1
-	snapChPool   sync.Pool // chan shardReport, capacity len(shards)
-	snapMapPool  sync.Pool // map[int]headend.TenantSnapshot
+	singlePool  sync.Pool // *single, the session calls' window of one
+	snapChPool  sync.Pool // chan shardReport, capacity len(shards)
+	snapMapPool sync.Pool // map[int]headend.TenantSnapshot
 
 	mu     sync.RWMutex
 	closed bool
@@ -452,47 +421,6 @@ type Cluster struct {
 	ckptEvery uint64
 	reshardMu sync.Mutex
 }
-
-// getAck returns a pooled one-shot result channel.
-func (c *Cluster) getAck() chan result {
-	if ch, ok := c.ackPool.Get().(chan result); ok {
-		return ch
-	}
-	return make(chan result, 1)
-}
-
-// putAck recycles a drained result channel. Never call it on a channel
-// a worker may still deliver into (an abandoned call).
-func (c *Cluster) putAck(ch chan result) {
-	if poisonAck != nil {
-		poisonAck(ch)
-	}
-	c.ackPool.Put(ch)
-}
-
-// poisonAck, when non-nil (set only by test builds), inspects a result
-// channel at the moment it is recycled — the -race pool-discipline
-// tests install a checker that fails loudly on an undrained delivery,
-// which would mean a future caller could receive a stale result.
-var poisonAck func(chan result)
-
-// getBatchAck / putBatchAck mirror getAck for batch completion channels.
-func (c *Cluster) getBatchAck() chan []EventResult {
-	if ch, ok := c.batchAckPool.Get().(chan []EventResult); ok {
-		return ch
-	}
-	return make(chan []EventResult, 1)
-}
-
-func (c *Cluster) putBatchAck(ch chan []EventResult) {
-	if poisonBatchAck != nil {
-		poisonBatchAck(ch)
-	}
-	c.batchAckPool.Put(ch)
-}
-
-// poisonBatchAck mirrors poisonAck for batch completion channels.
-var poisonBatchAck func(chan []EventResult)
 
 // New builds the cluster and starts one worker per shard. Tenant i is
 // pinned to shard i mod Shards. With Options.WAL the durability log is
@@ -626,8 +554,7 @@ func newCluster(tenants []TenantConfig, opts Options, replay bool) (*Cluster, er
 		if sh.deferAcks {
 			sh.commits = make(chan commitGroup, 16)
 			sh.commitDone = make(chan struct{})
-			sh.ackFree = make(chan []pendAck, 4)
-			sh.batchFree = make(chan []pendBatchAck, 4)
+			sh.pendFree = make(chan []window, 4)
 			go c.committer(sh)
 		}
 		go c.worker(sh)
@@ -672,9 +599,9 @@ func (c *Cluster) Snapshot() (*FleetSnapshot, error) {
 // state. Requires c.mu held: read-held for Snapshot (concurrent
 // submissions just land behind the barrier messages), write-held for
 // the durability quiesce points (checkpoint, reshard cutover, close) —
-// enqueue holds the read lock through its channel send, so the write
-// lock additionally guarantees no send is in flight and the queues
-// stay empty until release.
+// every submission holds the read lock through its channel send, so
+// the write lock additionally guarantees no send is in flight and the
+// queues stay empty until release.
 func (c *Cluster) barrierSnapshot() (*FleetSnapshot, error) {
 	// The barrier reuses one pooled reply channel for all shards (its
 	// capacity is len(shards), so workers never block) and pooled
@@ -784,113 +711,34 @@ func (c *Cluster) Close() error {
 	return firstErr
 }
 
-// worker is the shard event loop: FIFO with arrival coalescing and
-// per-event result delivery. Under the WAL's SyncBatch policy, result
-// delivery is deferred (see deliver) and the loop hands the pending
-// group to the shard's committer at every commit point: the queue
-// momentarily empty, the pending count reaching commitGroupBound, a barrier
-// (which additionally drains the committer), or shutdown. The
-// arrival-coalescing flush boundaries are untouched — they stay a pure
-// function of the submission sequence; only delivery is deferred.
+// worker is the shard event loop: it processes messages in FIFO order,
+// replying once per window. Under the WAL's SyncBatch policy the reply
+// is deferred (see reply) and the loop hands the pending group to the
+// shard's committer at every commit point: the queue momentarily empty,
+// the pending count reaching commitGroupBound, a barrier (which
+// additionally drains the committer), or shutdown.
 func (c *Cluster) worker(sh *shard) {
 	defer close(sh.done)
-	batch := make([]message, 0, c.opts.BatchSize)
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		sh.stats.Batches++
-		if len(batch) > sh.stats.MaxBatch {
-			sh.stats.MaxBatch = len(batch)
-		}
-		// Admit grouped by tenant, groups in first-appearance order.
-		// Per-tenant arrival order is preserved and tenants are
-		// independent, so results match pure FIFO.
-		for len(batch) > 0 {
-			ti := batch[0].ev.Tenant
-			keep := batch[:0]
-			for _, msg := range batch {
-				if msg.ev.Tenant != ti {
-					keep = append(keep, msg)
-					continue
-				}
-				res := c.applyArrival(sh, msg.ev, msg.ack != nil, false, -1)
-				if msg.ack != nil {
-					c.deliver(sh, msg.ack, res)
-				}
-			}
-			batch = keep
-		}
-	}
-	process := func(msg message) {
-		if msg.snap != nil {
-			// A barrier is a commit point: everything applied so far is
-			// made durable and acknowledged before the reply, so the
-			// barrier's snapshot covers only acknowledged state.
-			flush()
-			c.releaseAcks(sh)
-			c.drainCommits(sh)
-			msg.snap <- c.reportShard(sh)
-			return
-		}
-		if msg.batch != nil {
-			// A single-tenant event batch (ApplyBatch, the HTTP batch
-			// endpoint): one shard message, applied as its own batch
-			// window — flush the pending window first so ordering stays
-			// FIFO per tenant.
-			flush()
-			res := c.applyEventBatch(sh, msg.batch)
-			if sh.deferAcks {
-				sh.pendBatch = append(sh.pendBatch, pendBatchAck{ch: msg.batchAck, res: res})
-				c.maybeRelease(sh)
-			} else {
-				msg.batchAck <- res
-			}
-			return
-		}
-		sh.stats.Events++
-		if msg.ev.Type == EventStreamArrival {
-			batch = append(batch, msg)
-			// A request/response arrival is its own flush boundary: the
-			// caller is blocked on its completion channel, and waiting
-			// for the batch to fill could strand it forever. Ack-ness
-			// is part of the submission sequence, so flush boundaries
-			// stay a pure function of it.
-			if len(batch) >= c.opts.BatchSize || msg.ack != nil {
-				flush()
-			}
-			return
-		}
-		flush()
-		res := c.applyEvent(sh, msg.ev, msg.ack == nil, false, -1)
-		if msg.ack != nil {
-			c.deliver(sh, msg.ack, res)
-		}
-	}
-	for {
-		msg, ok := <-sh.ch
-		if !ok {
-			break
-		}
-		process(msg)
-		// Drain the burst without blocking, then commit at the point
-		// the queue goes momentarily empty — the group-commit heuristic
-		// that amortizes one fsync over however many events arrived
-		// while the previous group was being written.
-		for ok {
+	for msg := range sh.ch {
+		c.process(sh, msg)
+		// Drain the burst without blocking, then commit at the point the
+		// queue goes momentarily empty — the group-commit heuristic that
+		// amortizes one fsync over however many windows arrived while the
+		// previous group was being written.
+	burst:
+		for {
 			select {
-			case msg, ok = <-sh.ch:
-				if ok {
-					process(msg)
+			case msg, ok := <-sh.ch:
+				if !ok {
+					break burst
 				}
+				c.process(sh, msg)
 			default:
-				ok = false
+				break burst
 			}
 		}
 		c.releaseAcks(sh)
 	}
-	flush()
-	c.releaseAcks(sh)
 	if sh.deferAcks {
 		close(sh.commits)
 		<-sh.commitDone
@@ -902,114 +750,131 @@ func (c *Cluster) worker(sh *shard) {
 	}
 }
 
-// deliver hands one event result to its caller — immediately, or onto
-// the shard's pending group under SyncBatch (the result must not reach
-// the caller before its log record is durable; the committer fsyncs
-// the segment before delivering the group).
-func (c *Cluster) deliver(sh *shard, ch chan result, res result) {
-	if sh.deferAcks {
-		sh.pendAcks = append(sh.pendAcks, pendAck{ch: ch, res: res})
-		c.maybeRelease(sh)
+// process handles one message on the worker goroutine. A barrier is a
+// commit point: everything applied so far is made durable and
+// acknowledged before the reply, so its snapshot covers only
+// acknowledged state. A window applies its events in order, flushes
+// their catalog settlements in one registry round trip, and replies.
+func (c *Cluster) process(sh *shard, msg message) {
+	if msg.snap != nil {
+		c.releaseAcks(sh)
+		c.drainCommits(sh)
+		msg.snap <- c.reportShard(sh)
 		return
 	}
-	ch <- res
+	w := msg.win
+	for i := range w.evs {
+		res := c.apply(sh, w.evs[i])
+		for len(sh.settleSlots) < len(sh.settles) {
+			sh.settleSlots = append(sh.settleSlots, i)
+		}
+		if w.done != nil {
+			w.out[i] = res
+		} else if res.err != nil && sh.err == nil {
+			// No caller to inform: the failure surfaces through Snapshot
+			// and Close instead.
+			sh.err = res.err
+		}
+	}
+	c.flushSettles(sh, w.out)
+	if w.done != nil {
+		c.reply(sh, w)
+	}
+}
+
+// reply signals a window's caller — immediately, or onto the shard's
+// pending group under SyncBatch (the results must not reach the caller
+// before their log records are durable; the committer fsyncs the
+// segment before replying to the group).
+func (c *Cluster) reply(sh *shard, w window) {
+	if !sh.deferAcks {
+		w.done <- struct{}{}
+		return
+	}
+	sh.pend = append(sh.pend, w)
+	if len(sh.pend) >= max(commitGroupBound, c.opts.QueueDepth) {
+		c.releaseAcks(sh)
+	}
 }
 
 // commitGroupBound caps a shard's deferred-acknowledgement group, in
-// events, under sustained load (an idle moment releases the group
-// regardless — see the worker's queue-empty release). The bound is a
-// durability batching window, not a queue depth: it exists so a
-// saturating submitter cannot defer acknowledgements without limit,
-// and every event under it shares one fsync. 2048 events is a few
+// windows (the configured queue depth, if larger, raises it), under
+// sustained load (an idle moment releases the group regardless — see
+// the worker's queue-empty release). The bound is a durability
+// batching window, not a queue depth: it exists so a saturating
+// submitter cannot defer acknowledgements without limit, and every
+// window under it shares one fsync. 2048 single-event windows is a few
 // milliseconds of apply work — the same order as the device flush it
 // amortizes — so raising it further adds ack latency without removing
 // syncs, and lowering it multiplies fsyncs under exactly the load
 // where they hurt.
 const commitGroupBound = 2048
 
-// maybeRelease bounds the pending group at commitGroupBound (or the
-// configured queue depth, if larger) so a saturating submitter cannot
-// defer acknowledgements without limit.
-func (c *Cluster) maybeRelease(sh *shard) {
-	bound := commitGroupBound
-	if c.opts.QueueDepth > bound {
-		bound = c.opts.QueueDepth
-	}
-	if len(sh.pendAcks)+len(sh.pendBatch) >= bound {
-		c.releaseAcks(sh)
-	}
-}
-
 // releaseAcks is the group-commit point: it hands the shard's pending
 // group — with the two planes' appenders (the registry's settlements
 // for the group's events are already in the catalog appender's buffer)
-// — to the committer, which fsyncs and then delivers every deferred
-// result in order. The worker returns immediately and keeps applying
+// — to the committer, which fsyncs and then replies to every deferred
+// window in order. The worker returns immediately and keeps applying
 // while the fsync runs. A no-op outside SyncBatch.
 func (c *Cluster) releaseAcks(sh *shard) {
-	if !sh.deferAcks || (len(sh.pendAcks) == 0 && len(sh.pendBatch) == 0) {
+	if !sh.deferAcks || len(sh.pend) == 0 {
 		return
 	}
-	g := commitGroup{wal: sh.wal, cat: c.walCatApp.Load(), acks: sh.pendAcks, batches: sh.pendBatch}
+	g := commitGroup{wal: sh.wal, cat: c.walCatApp.Load(), wins: sh.pend}
 	// Swap in a recycled slice, or start one with real capacity: the
 	// freelist is empty exactly when every slice is in flight behind an
 	// fsync, and growing from nil there puts the doubling copies on the
-	// hot path (they were the batch path's dominant timed allocation).
-	sh.pendAcks, sh.pendBatch = nil, nil
+	// hot path.
 	select {
-	case sh.pendAcks = <-sh.ackFree:
+	case sh.pend = <-sh.pendFree:
 	default:
-		sh.pendAcks = make([]pendAck, 0, commitGroupBound/4)
-	}
-	select {
-	case sh.pendBatch = <-sh.batchFree:
-	default:
+		sh.pend = make([]window, 0, commitGroupBound/4)
 	}
 	sh.commits <- g
 }
 
-// committer is the shard's group-commit daemon: for each window of
+// committer is the shard's group-commit daemon: for each run of
 // handed-off groups it makes both planes' segments durable, then
-// delivers the groups' deferred results in order — an acknowledged
+// replies to the groups' deferred windows in order — an acknowledged
 // event is on disk before its caller unblocks, while the worker's
 // apply loop never waits on an fsync. Groups that queued up behind an
-// in-flight fsync are drained into the next window and share one
-// syscall (Appender.Commit covers everything appended before the
-// call), so a pipelined submitter pays roughly one fsync per disk
-// latency, not per ack group.
+// in-flight fsync are drained into the next run and share one syscall
+// (Appender.Commit covers everything appended before the call), so a
+// pipelined submitter pays roughly one fsync per disk latency, not per
+// ack group.
 func (c *Cluster) committer(sh *shard) {
 	defer close(sh.commitDone)
-	var window []commitGroup
+	var run []commitGroup
 	for open := true; open; {
 		g, ok := <-sh.commits
 		if !ok {
 			return
 		}
-		window = append(window[:0], g)
+		run = append(run[:0], g)
 		for more := true; more; {
 			select {
 			case g2, ok2 := <-sh.commits:
 				if !ok2 {
 					open, more = false, false
 				} else {
-					window = append(window, g2)
+					run = append(run, g2)
 				}
 			default:
 				more = false
 			}
 		}
-		// One commit per distinct appender in the window (rotation can
-		// only change the pointers across a drain barrier, so a window
-		// almost always holds exactly one of each).
+		// One commit per distinct appender in the run (rotation can only
+		// change the pointers across a drain barrier, so a run almost
+		// always holds exactly one of each).
 		var prevWAL, prevCat *wal.Appender
-		var windowErr error
-		for _, g := range window {
+		var runErr error
+		for _, g := range run {
 			if g.wal != nil && g.wal != prevWAL {
 				prevWAL = g.wal
 				if err := g.wal.Commit(); err != nil {
 					c.latchCommitErr(sh, err)
-					if windowErr == nil {
-						windowErr = err
+					if runErr == nil {
+						runErr = err
 					}
 				}
 			}
@@ -1017,47 +882,34 @@ func (c *Cluster) committer(sh *shard) {
 				prevCat = g.cat
 				if err := g.cat.Commit(); err != nil {
 					c.latchCommitErr(sh, err)
-					if windowErr == nil {
-						windowErr = err
+					if runErr == nil {
+						runErr = err
 					}
 				}
 			}
 		}
-		// Acks are truthful: a window whose commit failed delivers
+		// Acks are truthful: a run whose commit failed delivers
 		// ErrNotDurable to every caller instead of a success the disk
-		// never backed. The appender error is latched, so every later
-		// window fails the same way until the cluster is torn down and
+		// never backed. The appender error is latched, so every later run
+		// fails the same way until the cluster is torn down and
 		// recovered.
 		var notDurable error
-		if windowErr != nil {
-			notDurable = fmt.Errorf("%w: %v", ErrNotDurable, windowErr)
+		if runErr != nil {
+			notDurable = fmt.Errorf("%w: %v", ErrNotDurable, runErr)
 		}
-		for _, g := range window {
-			for i := range g.acks {
+		for _, g := range run {
+			for i, w := range g.wins {
 				if notDurable != nil {
-					g.acks[i].res.err = notDurable
-				}
-				g.acks[i].ch <- g.acks[i].res
-				g.acks[i] = pendAck{}
-			}
-			for i := range g.batches {
-				if notDurable != nil {
-					for j := range g.batches[i].res {
-						g.batches[i].res[j].Err = notDurable
+					for j := range w.out {
+						w.out[j].err = notDurable
 					}
 				}
-				g.batches[i].ch <- g.batches[i].res
-				g.batches[i] = pendBatchAck{}
+				w.done <- struct{}{}
+				g.wins[i] = window{}
 			}
-			if cap(g.acks) > 0 {
+			if cap(g.wins) > 0 {
 				select {
-				case sh.ackFree <- g.acks[:0]:
-				default:
-				}
-			}
-			if cap(g.batches) > 0 {
-				select {
-				case sh.batchFree <- g.batches[:0]:
+				case sh.pendFree <- g.wins[:0]:
 				default:
 				}
 			}
@@ -1096,34 +948,25 @@ func (c *Cluster) drainCommits(sh *shard) {
 	sh.commitMu.Unlock()
 }
 
-// dispatchSettle routes one catalog settlement the worker decided:
-// immediately (deferred false — the FIFO single-event path, whose
-// caller is acked right after) via the shard's one-op scratch, or onto
-// the shard's settlement buffer (deferred true — the batch path, which
-// flushes the whole run in one SettleBatch round trip). slot is the
-// batch result index whose Catalog.Refs/Evicted the flush backfills
-// (-1 for settlements with no per-event result, e.g. install
-// reconciliation). Deferred settlements return a zero result; the
-// flush fills it in.
-func (c *Cluster) dispatchSettle(sh *shard, s catalog.Settlement, deferred bool, slot int) (refs int, evicted bool) {
-	if deferred {
+// settle buffers one catalog settlement the worker decided; the
+// window's flushSettles sends the run. During log replay the registry
+// is rebuilt from its own plane (the owner's serialization order — see
+// internal/catalog), so the worker keeps classifying to maintain its
+// held set but never re-issues the settlement.
+func (c *Cluster) settle(sh *shard, s catalog.Settlement) {
+	if !sh.replay {
 		sh.settles = append(sh.settles, s)
-		sh.settleSlots = append(sh.settleSlots, slot)
-		return 0, false
 	}
-	sh.settleOne[0] = s
-	if err := c.catalog.SettleBatch(sh.settleOne[:], sh.settleOneRes[:]); err != nil {
-		return 0, false
-	}
-	return sh.settleOneRes[0].Refs, sh.settleOneRes[0].Evicted
 }
 
-// flushSettles sends the shard's deferred settlement run to the
-// registry in one round trip and backfills per-event reference state
-// into the batch results. Ordering is exact: every registry transition
-// a batch produces — arrival settlements, departure releases, install
-// reconciliation — rides this single ordered buffer.
-func (c *Cluster) flushSettles(sh *shard, out []EventResult) {
+// flushSettles sends the window's buffered settlements to the registry
+// in one round trip and backfills per-event reference state into the
+// window's result slots (out is nil for a fire-and-forget window).
+// Ordering is exact: every registry transition a window produces —
+// arrival settlements, departure releases, install reconciliation —
+// rides this single ordered buffer, and the flush completes before the
+// window's reply.
+func (c *Cluster) flushSettles(sh *shard, out []result) {
 	if len(sh.settles) == 0 {
 		return
 	}
@@ -1131,45 +974,47 @@ func (c *Cluster) flushSettles(sh *shard, out []EventResult) {
 		sh.settleRes = make([]catalog.SettleResult, len(sh.settles))
 	}
 	res := sh.settleRes[:len(sh.settles)]
-	if err := c.catalog.SettleBatch(sh.settles, res); err == nil {
+	if err := c.catalog.SettleBatch(sh.settles, res); err == nil && out != nil {
 		for k, slot := range sh.settleSlots {
-			if slot >= 0 && out != nil {
-				out[slot].Catalog.Refs = res[k].Refs
-				out[slot].Catalog.Evicted = res[k].Evicted
-			}
+			out[slot].refs = res[k].Refs
+			out[slot].evicted = res[k].Evicted
 		}
 	}
 	sh.settles = sh.settles[:0]
 	sh.settleSlots = sh.settleSlots[:0]
 }
 
-// applyArrival admits one stream arrival on the worker goroutine and
-// returns the typed decision (shared by the coalescing flush path and
-// the batch path). The utility sum is computed only when a caller will
-// read it (needResult); fire-and-forget replay arrivals skip it. For a
-// catalog-managed arrival the fleet reference is settled here, in shard
-// FIFO order: commit on admit, release of the provisional reference on
-// reject, recharge accounting for an admission under an existing
-// reference (Ticket.Already). deferred/slot select immediate or batched
-// settlement (see dispatchSettle).
-func (c *Cluster) applyArrival(sh *shard, ev Event, needResult, deferred bool, slot int) result {
+// apply applies one event on the worker goroutine and returns its typed
+// result: the paper's online admission for an arrival, the departure
+// and churn bookkeeping, or an offline re-solve — plus the
+// churn-triggered re-solve policy. For a catalog-managed arrival or
+// departure the fleet reference is settled in shard FIFO order: commit
+// on admit, release of the provisional reference on reject, recharge
+// accounting for an admission under an existing reference
+// (Ticket.Already), release on departure.
+func (c *Cluster) apply(sh *shard, ev Event) result {
 	if sh.wal != nil {
 		c.logEvent(sh, &ev)
 	}
+	sh.stats.Events++
 	t := c.tenants[ev.Tenant]
-	sh.stats.Arrivals++
-	users := t.OfferStreamScaled(ev.Stream, ev.scale())
-	if len(users) > 0 {
-		sh.stats.Admitted++
-	}
-	res := result{offer: OfferResult{Accepted: len(users) > 0, Subscribers: users}}
-	if needResult {
+	var res result
+	churned := false
+	switch ev.Type {
+	case EventStreamArrival:
+		sh.stats.Arrivals++
+		users := t.OfferStreamScaled(ev.Stream, ev.scale())
+		if len(users) > 0 {
+			sh.stats.Admitted++
+		}
+		res.offer = OfferResult{Accepted: len(users) > 0, Subscribers: users}
 		in := t.Instance()
 		for _, u := range users {
 			res.offer.Utility += in.Users[u].Utility[ev.Stream]
 		}
-	}
-	if ev.CatalogID != "" && c.catalog != nil {
+		if ev.CatalogID == "" || c.catalog == nil {
+			break
+		}
 		// The held-reference set is maintained by this worker alongside
 		// every registry transition for the tenant, so it decides
 		// commit-vs-recharge exactly — a caller-side classification
@@ -1185,55 +1030,32 @@ func (c *Cluster) applyArrival(sh *shard, ev Event, needResult, deferred bool, s
 			// guard actually priced (a holder's ticket is full price;
 			// only exotic interleaves carry a discount here).
 			s.Op = catalog.SettleRecharge
-			s.Full = t.Instance().StreamCostSum(ev.Stream)
+			s.Full = in.StreamCostSum(ev.Stream)
 			s.Charged = ev.scale() * s.Full
 		default:
 			s.Op = catalog.SettleCommit
-			s.Full = t.Instance().StreamCostSum(ev.Stream)
+			s.Full = in.StreamCostSum(ev.Stream)
 			s.Charged = ev.scale() * s.Full
 			held[ev.CatalogID] = true
 		}
-		// During log replay the registry is rebuilt from its own plane
-		// (the owner's serialization order — see internal/catalog), so
-		// the worker keeps classifying to maintain its held set but
-		// never re-issues the settlement.
-		if !sh.replay {
-			res.refs, res.evicted = c.dispatchSettle(sh, s, deferred, slot)
-		}
-	}
-	return res
-}
-
-// applyEvent handles every non-arrival event and the churn-triggered
-// re-solve policy, returning the typed result. background marks events
-// with no caller to inform (fire-and-forget replay), whose resolve
-// errors latch as the shard's first error. deferred/slot select
-// immediate or batched catalog settlement (see dispatchSettle).
-func (c *Cluster) applyEvent(sh *shard, ev Event, background, deferred bool, slot int) result {
-	if sh.wal != nil {
-		c.logEvent(sh, &ev)
-	}
-	t := c.tenants[ev.Tenant]
-	var res result
-	churned := false
-	switch ev.Type {
+		c.settle(sh, s)
 	case EventStreamDeparture:
 		sh.stats.Departures++
 		carried := t.Carries(ev.Stream)
 		users := t.DepartStream(ev.Stream)
 		res.depart = DepartResult{Removed: carried, Subscribers: users}
 		if c.catalog != nil {
-			// Settle the fleet reference in shard FIFO order (see
-			// applyArrival) — for a by-ID departure and equally for a
-			// local-index departure of a catalog-bound stream (the worker
-			// resolves the binding itself, so a plain DepartStream cannot
-			// leak the reference). A held reference is released even when
-			// nothing was carried (Removed false): that is the cleanup of
-			// a stream whose local subscription was already gone. A by-ID
-			// departure with no held reference issues the release anyway:
-			// the registry remove is a no-op (an occupied-but-empty entry
-			// never persists across operations, so it cannot evict), and
-			// it reports the refs the caller asked about.
+			// Settle the fleet reference in shard FIFO order — for a by-ID
+			// departure and equally for a local-index departure of a
+			// catalog-bound stream (the worker resolves the binding
+			// itself, so a plain DepartStream cannot leak the reference).
+			// A held reference is released even when nothing was carried
+			// (Removed false): that is the cleanup of a stream whose local
+			// subscription was already gone. A by-ID departure with no
+			// held reference issues the release anyway: the registry
+			// remove is a no-op (an occupied-but-empty entry never
+			// persists across operations, so it cannot evict), and it
+			// reports the refs the caller asked about.
 			id, byID := ev.CatalogID, ev.CatalogID != ""
 			if !byID {
 				id = c.catalogByLocal[ev.Tenant][ev.Stream]
@@ -1241,11 +1063,7 @@ func (c *Cluster) applyEvent(sh *shard, ev Event, background, deferred bool, slo
 			held := c.heldCatalog[ev.Tenant]
 			if id != "" && (held[id] || byID) {
 				delete(held, id)
-				if !sh.replay {
-					res.refs, res.evicted = c.dispatchSettle(sh,
-						catalog.Settlement{Op: catalog.SettleRelease, ID: id, Tenant: ev.Tenant},
-						deferred, slot)
-				}
+				c.settle(sh, catalog.Settlement{Op: catalog.SettleRelease, ID: id, Tenant: ev.Tenant})
 			}
 		}
 		churned = true
@@ -1262,7 +1080,7 @@ func (c *Cluster) applyEvent(sh *shard, ev Event, background, deferred bool, slo
 		res.churn = ChurnResult{Changed: wasAway}
 		churned = true
 	case EventResolve:
-		res.resolve, res.err = c.resolve(sh, ev.Tenant, ev.Install, background)
+		res.resolve, res.err = c.resolve(sh, ev.Tenant, ev.Install)
 		if res.err == nil && res.resolve.Installed && c.catalog != nil {
 			// An install adopts the offline lineup wholesale — dropping
 			// catalog-admitted streams outside it and picking up
@@ -1282,11 +1100,7 @@ func (c *Cluster) applyEvent(sh *shard, ev Event, background, deferred bool, slo
 			for _, cl := range c.catalogLocals[ev.Tenant] {
 				switch carries := t.Carries(cl.local); {
 				case held[cl.id] && !carries:
-					if !sh.replay {
-						c.dispatchSettle(sh,
-							catalog.Settlement{Op: catalog.SettleRelease, ID: cl.id, Tenant: ev.Tenant},
-							deferred, -1)
-					}
+					c.settle(sh, catalog.Settlement{Op: catalog.SettleRelease, ID: cl.id, Tenant: ev.Tenant})
 					delete(held, cl.id)
 				case !held[cl.id] && carries:
 					// A pickup adopts a full-price reference atomically
@@ -1295,12 +1109,8 @@ func (c *Cluster) applyEvent(sh *shard, ev Event, background, deferred bool, slo
 					// tenant's lineup retained for it (Tenant.install);
 					// adoption at full price only covers streams the
 					// lineup picked up without a reference.
-					if !sh.replay {
-						c.dispatchSettle(sh,
-							catalog.Settlement{Op: catalog.SettleAdopt, ID: cl.id, Tenant: ev.Tenant,
-								Full: t.Instance().StreamCostSum(cl.local)},
-							deferred, -1)
-					}
+					c.settle(sh, catalog.Settlement{Op: catalog.SettleAdopt, ID: cl.id, Tenant: ev.Tenant,
+						Full: t.Instance().StreamCostSum(cl.local)})
 					held[cl.id] = true
 				}
 			}
@@ -1309,70 +1119,27 @@ func (c *Cluster) applyEvent(sh *shard, ev Event, background, deferred bool, slo
 	if churned && c.opts.ResolveEvery > 0 {
 		sh.churn[ev.Tenant]++
 		if sh.churn[ev.Tenant]%c.opts.ResolveEvery == 0 {
-			_, _ = c.resolve(sh, ev.Tenant, false, true)
+			// Churn-triggered re-solves have no caller to inform: a
+			// failure latches as the shard's first error.
+			if _, err := c.resolve(sh, ev.Tenant, false); err != nil && sh.err == nil {
+				sh.err = err
+			}
 		}
 	}
 	return res
 }
 
-// applyEventBatch applies one single-tenant event sequence in
-// submission order on the worker goroutine. Each contiguous run of
-// arrivals is one batch window for the shard stats (the coalescing a
-// remote caller gets from the batch endpoint); non-arrival events are
-// applied between windows exactly as in the FIFO path. Per-event
-// results are positional.
-//
-// Catalog settlements are deferred onto the shard's settlement buffer
-// and flushed in one registry round trip before the results are
-// delivered — the worker-FIFO settlement order is preserved exactly
-// (the buffer is ordered, and the flush completes before the batch
-// ack), only the number of registry crossings changes. The flush
-// backfills each catalog event's Catalog.Refs/Evicted.
-func (c *Cluster) applyEventBatch(sh *shard, evs []Event) []EventResult {
-	out := make([]EventResult, len(evs))
-	for i := 0; i < len(evs); {
-		sh.stats.Events++
-		ev := evs[i]
-		if ev.Type != EventStreamArrival {
-			res := c.applyEvent(sh, ev, false, true, i)
-			out[i] = EventResult{Type: ev.Type, Depart: res.depart, Churn: res.churn,
-				Resolve: res.resolve, Err: res.err}
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(evs) && evs[j].Type == EventStreamArrival {
-			sh.stats.Events++
-			j++
-		}
-		sh.stats.Batches++
-		if j-i > sh.stats.MaxBatch {
-			sh.stats.MaxBatch = j - i
-		}
-		for k := i; k < j; k++ {
-			out[k] = EventResult{Type: EventStreamArrival, Offer: c.applyArrival(sh, evs[k], true, true, k).offer}
-		}
-		i = j
-	}
-	c.flushSettles(sh, out)
-	return out
-}
-
 // resolve runs one offline re-solve on the worker goroutine. A
-// background resolve (churn-triggered or fire-and-forget replay) has
-// no caller to inform, so its error is latched as the shard's first
-// error and surfaced by Snapshot and Close; a request/response resolve
-// returns the error to its caller only — a bad per-request resolve
-// must not poison fleet observability.
-func (c *Cluster) resolve(sh *shard, tenant int, install, background bool) (ResolveResult, error) {
+// re-solve with no caller to inform (churn-triggered, or in a
+// fire-and-forget window) has its error latched as the shard's first
+// error by its caller and surfaced by Snapshot and Close; a
+// request/response resolve returns the error to its caller only — a
+// bad per-request resolve must not poison fleet observability.
+func (c *Cluster) resolve(sh *shard, tenant int, install bool) (ResolveResult, error) {
 	sh.stats.Resolves++
 	out, err := c.tenants[tenant].Resolve(c.opts.SolveOptions, install)
 	if err != nil {
-		err = fmt.Errorf("cluster: tenant %d: %w", tenant, err)
-		if background && sh.err == nil {
-			sh.err = err
-		}
-		return ResolveResult{}, err
+		return ResolveResult{}, fmt.Errorf("cluster: tenant %d: %w", tenant, err)
 	}
 	return ResolveResult{
 		Installed:    out.Installed,

@@ -51,7 +51,7 @@ func runFleet(t testing.TB, tenants []TenantConfig, opts Options, w Workload) *F
 
 func TestClusterAdmitsAndStaysFeasible(t *testing.T) {
 	tenants := tenantInstances(t, 6, 20, 6, 400)
-	fs := runFleet(t, tenants, Options{Shards: 3, BatchSize: 4}, Workload{Seed: 1})
+	fs := runFleet(t, tenants, Options{Shards: 3}, Workload{Seed: 1})
 	if !fs.AllFeasible {
 		t.Fatal("fleet has an infeasible tenant")
 	}
@@ -74,7 +74,7 @@ func TestClusterAdmitsAndStaysFeasible(t *testing.T) {
 // fixed-seed run renders a byte-identical aggregate report across two
 // invocations.
 func TestClusterDeterministicAcrossRuns(t *testing.T) {
-	opts := Options{Shards: 4, BatchSize: 8, ResolveEvery: 7}
+	opts := Options{Shards: 4, ResolveEvery: 7}
 	w := Workload{Seed: 42, Rounds: 2, DepartEvery: 3, ChurnEvery: 5}
 	a := runFleet(t, tenantInstances(t, 8, 15, 5, 500), opts, w).Render()
 	b := runFleet(t, tenantInstances(t, 8, 15, 5, 500), opts, w).Render()
@@ -91,7 +91,7 @@ func TestClusterShardCountInvariant(t *testing.T) {
 	var base string
 	for _, shards := range []int{1, 2, 4, 7} {
 		fs := runFleet(t, tenantInstances(t, 7, 12, 5, 600),
-			Options{Shards: shards, BatchSize: 3}, w)
+			Options{Shards: shards}, w)
 		got := fs.RenderTenants()
 		if base == "" {
 			base = got
@@ -100,31 +100,6 @@ func TestClusterShardCountInvariant(t *testing.T) {
 		if got != base {
 			t.Fatalf("tenant table changed with %d shards:\n--- base\n%s\n--- got\n%s",
 				shards, base, got)
-		}
-	}
-}
-
-func TestClusterBatchingCoalesces(t *testing.T) {
-	tenants := tenantInstances(t, 4, 25, 5, 700)
-	c, err := New(tenants, Options{Shards: 2, BatchSize: 8, QueueDepth: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	fs, _, err := c.RunWorkload(Workload{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range fs.ShardStats {
-		if st.Batches == 0 || st.Arrivals == 0 {
-			t.Fatalf("shard %d processed no batches: %+v", st.Shard, st)
-		}
-		if st.MaxBatch > 8 {
-			t.Fatalf("shard %d batch overflow: max %d > 8", st.Shard, st.MaxBatch)
-		}
-		if st.MaxBatch < 2 {
-			t.Fatalf("shard %d never coalesced (max batch %d); queue interleaving broken?",
-				st.Shard, st.MaxBatch)
 		}
 	}
 }
@@ -253,7 +228,7 @@ func TestClusterSessionRoundTrip(t *testing.T) {
 func TestClusterResolveInstall(t *testing.T) {
 	ctx := context.Background()
 	tenants := tenantInstances(t, 3, 15, 5, 950)
-	c, err := New(tenants, Options{Shards: 2, BatchSize: 4})
+	c, err := New(tenants, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

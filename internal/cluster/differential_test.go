@@ -55,7 +55,7 @@ func TestClusterSharedOriginLedgerMatchesRescanReference(t *testing.T) {
 			return catalog.ID(fmt.Sprintf("s-%03d", s))
 		})
 		c, err := New(cfgs, Options{
-			Shards: shards, BatchSize: 8,
+			Shards:  shards,
 			Catalog: &CatalogOptions{Streams: bindings, CostModel: model},
 		})
 		if err != nil {
@@ -187,7 +187,7 @@ func TestClusterLedgerMatchesRescanReference(t *testing.T) {
 			}
 			cfgs[i] = TenantConfig{Instance: in}
 		}
-		c, err := New(cfgs, Options{Shards: shards, BatchSize: 8})
+		c, err := New(cfgs, Options{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,54 +19,40 @@ import (
 	"repro/internal/catalog"
 )
 
-// installPoison arms all three recycle hooks for the duration of one
-// test. The hooks fail the test on an undrained delivery (a result
-// still buffered in a channel at recycle time) and scramble recycled
-// stream entries so any stale read shows up as a corrupt header.
+// installPoison arms both recycle hooks for the duration of one test.
+// The hooks fail the test on an undrained reply (a signal still
+// buffered in a window's done channel at recycle time) and scramble the
+// recycled window's slots, so any stale read shows up as a corrupt
+// header.
 func installPoison(t *testing.T) *atomic.Int64 {
 	t.Helper()
 	var recycled atomic.Int64
+	poisonWindow := func(s *single) {
+		recycled.Add(1)
+		select {
+		case <-s.done:
+			t.Error("recycled window still had a buffered reply")
+		default:
+		}
+		s.ev[0] = Event{Type: EventType(0x7f), CatalogID: "poisoned"}
+		s.out[0] = result{refs: -1, offer: OfferResult{Utility: -1}}
+		s.tk[0] = catalog.Ticket{Scale: -1, Local: -1}
+	}
 	poisonRecycled = func(p *streamPending) {
-		recycled.Add(1)
-		select {
-		case <-p.ack:
-			t.Error("recycled stream entry still had a buffered delivery")
-		default:
-		}
+		poisonWindow(&p.single)
 		p.seq = -1 << 30
-		p.typ = EventType(0x7f)
-		p.id = "poisoned"
-		p.catalogOffer = true
-		p.tk = catalog.Ticket{Scale: -1, Local: -1}
-		p.fullCost = -1
 	}
-	poisonAck = func(ch chan result) {
-		recycled.Add(1)
-		select {
-		case <-ch:
-			t.Error("recycled ack channel still had a buffered delivery")
-		default:
-		}
-	}
-	poisonBatchAck = func(ch chan []EventResult) {
-		recycled.Add(1)
-		select {
-		case <-ch:
-			t.Error("recycled batch ack channel still had a buffered delivery")
-		default:
-		}
-	}
+	poisonSingle = poisonWindow
 	t.Cleanup(func() {
 		poisonRecycled = nil
-		poisonAck = nil
-		poisonBatchAck = nil
+		poisonSingle = nil
 	})
 	return &recycled
 }
 
 // TestPooledAcksNeverReadAfterRecycle drives the pooled session, batch,
-// and snapshot paths concurrently with poison armed: every completion
-// channel must be drained before it returns to the pool.
+// and snapshot paths concurrently with poison armed: every pooled
+// window's reply must be drained before it returns to the pool.
 func TestPooledAcksNeverReadAfterRecycle(t *testing.T) {
 	recycled := installPoison(t)
 	c := catalogTestFleet(t, 4, 12, 5, 977, 0.3, 2, catalog.SharedOrigin{ReplicationFraction: 0.25})

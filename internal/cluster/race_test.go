@@ -39,7 +39,7 @@ func TestClusterConcurrentInjection(t *testing.T) {
 	const tenants, injectors, perInjector = 8, 6, 3
 	ctx := context.Background()
 	cfgs := tenantInstances(t, tenants, 15, 5, 1300)
-	c, err := New(cfgs, Options{Shards: 4, BatchSize: 4, ResolveEvery: 50})
+	c, err := New(cfgs, Options{Shards: 4, ResolveEvery: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestClusterConcurrentClose(t *testing.T) {
 	ctx := context.Background()
 	for round := 0; round < 4; round++ {
 		cfgs := tenantInstances(t, 4, 10, 4, 1400+int64(round))
-		c, err := New(cfgs, Options{Shards: 2, BatchSize: 4})
+		c, err := New(cfgs, Options{Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

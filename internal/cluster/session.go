@@ -4,13 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"repro/internal/catalog"
 )
 
 // Serving API v2: the typed, context-aware request/response surface.
 //
-// Each per-operation method routes one event to the owning shard with a
-// per-event completion channel attached, blocks until the shard worker
-// has applied the event, and returns a typed result. The sentinel
+// Each per-operation method routes one event to the owning shard as a
+// pooled window of one, blocks until the shard worker has applied the
+// event, and returns a typed result. The sentinel
 // errors below form the error taxonomy; every failure returned by the
 // session methods matches exactly one of them under errors.Is (solver
 // failures during a resolve are the exception — they are returned
@@ -111,7 +113,7 @@ type ResolveOptions struct {
 // already-carried stream, or a policy "no") is a successful call with
 // Accepted false.
 func (c *Cluster) OfferStream(ctx context.Context, tenant, stream int) (OfferResult, error) {
-	res, err := c.call(ctx, Event{Tenant: tenant, Type: EventStreamArrival, Stream: stream})
+	res, err := c.call(ctx, Event{Tenant: tenant, Type: EventStreamArrival, Stream: stream}, nil)
 	return res.offer, err
 }
 
@@ -119,20 +121,20 @@ func (c *Cluster) OfferStream(ctx context.Context, tenant, stream int) (OfferRes
 // subscribers and (for departure-aware policies) the policy's
 // resources.
 func (c *Cluster) DepartStream(ctx context.Context, tenant, stream int) (DepartResult, error) {
-	res, err := c.call(ctx, Event{Tenant: tenant, Type: EventStreamDeparture, Stream: stream})
+	res, err := c.call(ctx, Event{Tenant: tenant, Type: EventStreamDeparture, Stream: stream}, nil)
 	return res.depart, err
 }
 
 // UserLeave takes gateway u of tenant t offline, tearing down its
 // subscriptions.
 func (c *Cluster) UserLeave(ctx context.Context, tenant, user int) (ChurnResult, error) {
-	res, err := c.call(ctx, Event{Tenant: tenant, Type: EventUserLeave, User: user})
+	res, err := c.call(ctx, Event{Tenant: tenant, Type: EventUserLeave, User: user}, nil)
 	return res.churn, err
 }
 
 // UserJoin brings gateway u of tenant t back online.
 func (c *Cluster) UserJoin(ctx context.Context, tenant, user int) (ChurnResult, error) {
-	res, err := c.call(ctx, Event{Tenant: tenant, Type: EventUserJoin, User: user})
+	res, err := c.call(ctx, Event{Tenant: tenant, Type: EventUserJoin, User: user}, nil)
 	return res.churn, err
 }
 
@@ -143,14 +145,14 @@ func (c *Cluster) UserJoin(ctx context.Context, tenant, user int) (ChurnResult, 
 // catalog is configured, the worker releases the fleet references of
 // catalog streams the installed lineup dropped before replying.
 func (c *Cluster) Resolve(ctx context.Context, tenant int, opts ResolveOptions) (ResolveResult, error) {
-	res, err := c.call(ctx, Event{Tenant: tenant, Type: EventResolve, Install: opts.Install})
+	res, err := c.call(ctx, Event{Tenant: tenant, Type: EventResolve, Install: opts.Install}, nil)
 	return res.resolve, err
 }
 
-// result is the union payload delivered on a per-event completion
-// channel; exactly the field for the event's type is populated. refs
-// and evicted report the fleet-reference state the worker settled for a
-// catalog-managed event (Event.CatalogID set).
+// result is the worker's typed outcome of one event, written into the
+// window's result slot; exactly the field for the event's type is
+// populated. refs and evicted report the fleet-reference state the
+// worker settled for a catalog-managed event (Event.CatalogID set).
 type result struct {
 	offer   OfferResult
 	depart  DepartResult
@@ -161,47 +163,97 @@ type result struct {
 	err     error
 }
 
-// call routes one event to its shard with a completion channel attached
-// and waits for the worker's typed reply. An arrival carrying a
-// completion channel is its own flush boundary (the worker flushes the
-// batch immediately after appending it), so a blocked caller never
-// waits on a trailing partial batch.
+// single is a window of one with its own storage: pooled for the
+// session calls, embedded in every StreamConn pending entry, so neither
+// path allocates per event. tk receives the ticket of a catalog offer.
+type single struct {
+	ev   [1]Event
+	out  [1]result
+	tk   [1]catalog.Ticket
+	done chan struct{}
+}
+
+func (s *single) window() window {
+	return window{evs: s.ev[:], out: s.out[:], done: s.done}
+}
+
+// getSingle returns a pooled window of one.
+func (c *Cluster) getSingle() *single {
+	if s, ok := c.singlePool.Get().(*single); ok {
+		return s
+	}
+	return &single{done: make(chan struct{}, 1)}
+}
+
+// putSingle recycles a window of one whose reply was drained (or that
+// never enqueued). Never call it on a window a worker may still reply
+// to (an abandoned call).
+func (c *Cluster) putSingle(s *single) {
+	*s = single{done: s.done}
+	if poisonSingle != nil {
+		poisonSingle(s)
+	}
+	c.singlePool.Put(s)
+}
+
+// poisonSingle, when non-nil (set only by test builds), inspects a
+// pooled window at the moment it is recycled — the -race
+// pool-discipline tests install a checker that fails loudly on an
+// undrained reply, which would mean a future caller could read a stale
+// result.
+var poisonSingle func(*single)
+
+// call submits one event as a pooled window of one and waits for the
+// worker's reply. For a catalog offer, tk (when non-nil) receives the
+// ticket the admission was priced with.
 //
-// The completion channel is pooled: it is recycled after its result was
-// drained (or when the event never enqueued), and deliberately leaked
-// to the garbage collector when the caller abandons the wait on context
-// cancellation — the worker may still deliver into it, and a recycled
-// channel must never have a delivery in flight.
-func (c *Cluster) call(ctx context.Context, ev Event) (result, error) {
+// The window is recycled after its reply was drained (or when it never
+// enqueued), and deliberately leaked to the garbage collector when the
+// caller abandons the wait on context cancellation — the worker may
+// still write into it, and a recycled window must never have a reply in
+// flight.
+func (c *Cluster) call(ctx context.Context, ev Event, tk *catalog.Ticket) (result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ack := c.getAck()
-	if err := c.submit(ctx, ev, ack); err != nil {
-		c.putAck(ack)
+	s := c.getSingle()
+	s.ev[0] = ev
+	if _, err := c.submitWindow(ctx, ev.Tenant, s.window(), s.tk[:0]); err != nil {
+		c.putSingle(s)
 		return result{}, err
 	}
+	if err := awaitReply(ctx, s.done); err != nil {
+		return result{}, err
+	}
+	res := s.out[0]
+	if tk != nil {
+		*tk = s.tk[0]
+	}
+	c.putSingle(s)
+	return res, res.err
+}
+
+// awaitReply blocks until a window's reply or ctx is done. Once a
+// window is enqueued the worker applies it and settles every catalog
+// reference itself, so a canceled caller has nothing to reconcile; it
+// only loses the results.
+func awaitReply(ctx context.Context, done chan struct{}) error {
+	// Fast path: a context that can never be canceled needs no select.
+	cancel := ctx.Done()
+	if cancel == nil {
+		<-done
+		return nil
+	}
 	select {
-	case res := <-ack:
-		c.putAck(ack)
-		return res, res.err
-	case <-ctx.Done():
-		return result{}, fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
+	case <-done:
+		return nil
+	case <-cancel:
+		return fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
 	}
 }
 
-// submit validates and enqueues one event, honoring the cluster's
-// backpressure mode. ack may be nil (fire-and-forget, used by the
-// workload replay path).
-func (c *Cluster) submit(ctx context.Context, ev Event, ack chan result) error {
-	if err := validEventType(ev.Type); err != nil {
-		return err
-	}
-	return c.enqueue(ctx, ev.Tenant, message{ev: ev, ack: ack})
-}
-
-// validEventType is the single serving-event allowlist shared by the
-// single-event and batch submission paths.
+// validEventType is the serving-event allowlist every submission path
+// checks.
 func validEventType(t EventType) error {
 	switch t {
 	case EventStreamArrival, EventStreamDeparture, EventUserLeave, EventUserJoin, EventResolve:
@@ -211,27 +263,178 @@ func validEventType(t EventType) error {
 	}
 }
 
-// enqueue is the single shard-channel send shared by every submission
-// path: it validates the tenant index and the open state, then delivers
-// msg to the owning shard under the cluster's backpressure mode. The
-// read lock is held only for the send, never across a result wait.
-func (c *Cluster) enqueue(ctx context.Context, tenant int, msg message) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.enqueueLocked(ctx, tenant, msg)
+// catalogOffer reports whether ev is an arrival priced by the catalog's
+// acquire protocol.
+func (ev *Event) catalogOffer() bool {
+	return ev.CatalogID != "" && ev.Type == EventStreamArrival
 }
 
-// enqueueLocked is enqueue's body; it requires c.mu held (read or
-// write) and must stay in the same critical section as any read of the
-// cluster's layout fields (tenants, shardOf, shards, catalog) the
-// caller pairs it with — Reshard swaps those under the write lock, and
-// an event must land on the layout it was prepared against. Callers
-// already under the read lock use this directly (Go's RWMutex is not
-// reentrant: a recursive RLock can deadlock behind a waiting writer).
-func (c *Cluster) enqueueLocked(ctx context.Context, tenant int, msg message) error {
-	if tenant < 0 || tenant >= len(c.tenants) {
-		return fmt.Errorf("%w: tenant %d out of range [0,%d)", ErrUnknownTenant, tenant, len(c.tenants))
+// submitWindow is the one submission into the shard queues for a
+// window with a reply: w.evs are one tenant's events, validated and
+// normalized in place — Tenant set, CostScale cleared (discounts and
+// fleet references are granted only by the catalog's own acquire
+// protocol, never by a caller-supplied event), and CatalogID honored on
+// arrivals and departures only. Then, in one read-locked section (so
+// the events land on the layout and registry they were prepared
+// against; Reshard swaps both under the write lock), it runs the
+// catalog acquire protocol: a by-ID departure resolves its local
+// index, and the by-ID offers are priced in one registry round trip,
+// each taking a provisional reference so a concurrent departure cannot
+// evict the origin while the window crosses the shard queue. It returns
+// the offers' tickets, in window order, in tks (grown from the caller's
+// storage). If the enqueue fails, every provisional reference is
+// released; once enqueued, the worker settles each one in FIFO order.
+//
+// A window of one reports its event's error bare, as the per-operation
+// session calls always have; a longer window names the failing event.
+func (c *Cluster) submitWindow(ctx context.Context, tenant int, w window, tks []catalog.Ticket) ([]catalog.Ticket, error) {
+	evErr := func(i int, err error) error {
+		if len(w.evs) > 1 {
+			return fmt.Errorf("cluster: batch event %d: %w", i, err)
+		}
+		return err
 	}
+	offers := 0
+	for i := range w.evs {
+		ev := &w.evs[i]
+		if err := validEventType(ev.Type); err != nil {
+			return nil, evErr(i, err)
+		}
+		ev.Tenant, ev.CostScale, ev.originPayer = tenant, 0, false
+		if ev.Type != EventStreamArrival && ev.Type != EventStreamDeparture {
+			ev.CatalogID = ""
+		}
+		if ev.catalogOffer() {
+			offers++
+		}
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if tenant < 0 || tenant >= len(c.tenants) {
+		return nil, fmt.Errorf("%w: tenant %d out of range [0,%d)", ErrUnknownTenant, tenant, len(c.tenants))
+	}
+	var ids []catalog.ID // gathered only for a multi-offer round trip
+	var last catalog.ID
+	for i := range w.evs {
+		ev := &w.evs[i]
+		switch {
+		case ev.CatalogID == "":
+		case c.catalog == nil:
+			return nil, evErr(i, ErrNoCatalog)
+		case ev.Type == EventStreamDeparture:
+			local, err := c.catalog.Lookup(ev.CatalogID, tenant)
+			if err != nil {
+				return nil, evErr(i, wrapCatalogErr(err))
+			}
+			ev.Stream = local
+		case offers > 1:
+			ids = append(ids, ev.CatalogID)
+		default:
+			last = ev.CatalogID
+		}
+	}
+	if cap(tks) < offers {
+		tks = make([]catalog.Ticket, offers)
+	}
+	tks = tks[:offers]
+	if offers > 0 {
+		var err error
+		if offers == 1 {
+			tks[0], err = c.catalog.Acquire(last, tenant)
+		} else {
+			err = c.catalog.AcquireBatch(tenant, ids, tks)
+		}
+		if err != nil {
+			return nil, wrapCatalogErr(err)
+		}
+		k := 0
+		for i := range w.evs {
+			if ev := &w.evs[i]; ev.catalogOffer() {
+				ev.Stream, ev.CostScale, ev.originPayer = tks[k].Local, tks[k].Scale, tks[k].OriginPayer
+				k++
+			}
+		}
+	}
+	if err := c.enqueueLocked(ctx, tenant, message{win: w}); err != nil {
+		// Never enqueued: drop every provisional reference the window
+		// acquired, in one round trip (still under the lock, so the
+		// releases reach the registry that priced them).
+		if offers > 0 {
+			rel := make([]catalog.Settlement, 0, offers)
+			for i := range w.evs {
+				if ev := &w.evs[i]; ev.catalogOffer() {
+					rel = append(rel, catalog.Settlement{Op: catalog.SettleReleasePending,
+						ID: ev.CatalogID, Tenant: tenant, Origin: ev.originPayer})
+				}
+			}
+			_ = c.catalog.SettleBatch(rel, nil)
+		}
+		return nil, err
+	}
+	return tks, nil
+}
+
+// eventResult assembles the caller-visible outcome of one replied
+// event: the catalog outcome for a by-ID event (tk, read only for an
+// offer, is the ticket it was priced with), else the plain field
+// matching its type. A failed event carries only its error.
+func (c *Cluster) eventResult(ev *Event, tk *catalog.Ticket, res *result) EventResult {
+	out := EventResult{Type: ev.Type, CatalogID: ev.CatalogID, Err: res.err}
+	switch {
+	case res.err != nil:
+	case ev.CatalogID != "":
+		out.Catalog = c.catalogResult(ev, tk, res)
+	case ev.Type == EventStreamArrival:
+		out.Offer = res.offer
+	case ev.Type == EventStreamDeparture:
+		out.Depart = res.depart
+	case ev.Type == EventResolve:
+		out.Resolve = res.resolve
+	default:
+		out.Churn = res.churn
+	}
+	return out
+}
+
+// catalogResult assembles the typed outcome of a by-ID offer (priced
+// at tk) or departure from the worker's result. The stream's full cost
+// is read from the tenant's configuration, which no reshard replaces.
+func (c *Cluster) catalogResult(ev *Event, tk *catalog.Ticket, res *result) CatalogResult {
+	if ev.Type == EventStreamDeparture {
+		return CatalogResult{
+			Removed:     res.depart.Removed,
+			Subscribers: res.depart.Subscribers,
+			Refs:        res.refs,
+			Evicted:     res.evicted,
+		}
+	}
+	out := CatalogResult{
+		Admitted:    res.offer.Accepted,
+		Subscribers: res.offer.Subscribers,
+		Utility:     res.offer.Utility,
+		Refs:        res.refs,
+		SharedWith:  tk.SharedWith,
+		CostScale:   tk.Scale,
+		FullCost:    c.cfgs[ev.Tenant].Instance.StreamCostSum(tk.Local),
+		// A rejected offer's released provisional reference can be the
+		// one that drains an occupied origin (the last confirmed holder
+		// already departed while this admission was in flight).
+		Evicted: res.evicted,
+	}
+	if out.Admitted {
+		out.CostCharged = tk.Scale * out.FullCost
+	}
+	return out
+}
+
+// enqueueLocked is the one shard-channel send behind submitWindow: it
+// checks the open state, then delivers msg to tenant's shard under the
+// cluster's backpressure mode. It requires c.mu held and a valid
+// tenant, and must stay in the same critical section as any read of
+// the cluster's layout fields (tenants, shardOf, shards, catalog) the
+// caller pairs it with — Reshard swaps those under the write lock, and
+// an event must land on the layout it was prepared against.
+func (c *Cluster) enqueueLocked(ctx context.Context, tenant int, msg message) error {
 	// An already-done context must not enqueue: without this guard the
 	// send and ctx.Done() cases below could both be ready and the event
 	// would be applied ~half the time while the caller sees ErrCanceled.

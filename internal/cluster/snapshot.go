@@ -49,10 +49,10 @@ func (fs *FleetSnapshot) Render() string {
 	fmt.Fprintf(&sb, "  carrying  %d streams over %d (user,stream) pairs\n", fs.ActiveStreams, fs.Pairs)
 	fmt.Fprintf(&sb, "  feasible  %v\n", fs.AllFeasible)
 
-	sb.WriteString("\nshard  tenants  events  batches  maxbatch  arrivals  admitted  departs  leaves  joins  resolves\n")
+	sb.WriteString("\nshard  tenants  events  arrivals  admitted  departs  leaves  joins  resolves\n")
 	for _, st := range fs.ShardStats {
-		fmt.Fprintf(&sb, "%5d  %7d  %6d  %7d  %8d  %8d  %8d  %7d  %6d  %5d  %8d\n",
-			st.Shard, st.Tenants, st.Events, st.Batches, st.MaxBatch,
+		fmt.Fprintf(&sb, "%5d  %7d  %6d  %8d  %8d  %7d  %6d  %5d  %8d\n",
+			st.Shard, st.Tenants, st.Events,
 			st.Arrivals, st.Admitted, st.Departures, st.Leaves, st.Joins, st.Resolves)
 	}
 

@@ -22,21 +22,20 @@ import (
 // receiver catches up, so a slow reader can never queue unbounded
 // state.
 //
-// Catalog events need no special casing: Submit runs the same
-// acquire-then-route protocol as OfferCatalogStream (the registry
-// prices the admission and takes a provisional reference before the
-// event crosses the shard queue), and the shard worker settles the
-// fleet reference in FIFO order right after applying the event. A
+// Catalog events need no special casing: each streamed event is a
+// window of one through the same submission path as OfferCatalogStream
+// (the registry prices the admission and takes a provisional reference
+// before the event crosses the shard queue), and the shard worker
+// settles the fleet reference in FIFO order before replying. A
 // connection that is dropped with results unread therefore leaks
 // nothing — every enqueued event still applies and settles on its
 // worker; only the results go unobserved.
 //
-// Because every streamed event crosses the shard queue as an
-// acknowledged single event, a streamed schedule produces bit-identical
-// fleet snapshots to the same schedule submitted through the
-// per-operation session methods — and (per-tenant tables) to ApplyBatch
-// — at any shard count. The HTTP front end exposes this surface as
-// `POST /v1/stream` (NDJSON in, NDJSON out; see internal/httpserve and
+// Because every path applies the same events in the same per-shard
+// order, a streamed schedule produces bit-identical fleet snapshots to
+// the same schedule submitted through the per-operation session
+// methods, ApplyBatch, or fire-and-forget replay, at any shard count.
+// The HTTP front end exposes this surface as `POST /v1/stream` (NDJSON in, NDJSON out; see internal/httpserve and
 // repro/streamclient).
 
 // StreamOptions configures one StreamConn.
@@ -80,18 +79,12 @@ type StreamResult struct {
 }
 
 // streamPending rides the in-flight window: one entry per submitted
-// event, in submission order. ack is buffered (capacity 1) and always
-// receives exactly one result — from the shard worker, or from Submit
-// itself when the event failed before enqueueing.
+// event, in submission order, embedding the event's window of one. Its
+// done channel is signalled exactly once — by the shard worker, or by
+// Submit itself when the event failed before enqueueing.
 type streamPending struct {
 	seq int
-	typ EventType
-	id  catalog.ID
-	// catalog offer context captured at submit time (acquire protocol).
-	catalogOffer bool
-	tk           catalog.Ticket
-	fullCost     float64
-	ack          chan result
+	single
 }
 
 // StreamConn is a persistent, pipelined ingestion session (serving API
@@ -107,10 +100,10 @@ type StreamConn struct {
 	sendClosed bool
 	seq        int
 	pending    chan *streamPending
-	// free recycles settled pending entries (and their one-shot ack
-	// channels, consumed exactly once by Recv before recycling) back to
-	// Submit — the stream hot path allocates nothing per event once
-	// warm. Entries abandoned by Close are simply not recycled.
+	// free recycles settled pending entries (and their reply channels,
+	// consumed exactly once by Recv before recycling) back to Submit —
+	// the stream hot path allocates nothing per event once warm.
+	// Entries abandoned by Close are simply not recycled.
 	free chan *streamPending
 
 	recvMu sync.Mutex
@@ -142,9 +135,9 @@ func (c *Cluster) OpenStream(opts StreamOptions) (*StreamConn, error) {
 
 // Submit pipelines one event onto the stream: it reserves the next
 // in-flight window slot (blocking or rejecting per the stream's
-// backpressure mode), routes the event to its shard worker, and returns
-// without waiting for the result — Recv delivers it, in submission
-// order. ev follows the ApplyBatch conventions: Type must be a serving
+// backpressure mode), routes the event to its shard worker as a window
+// of one, and returns without waiting for the result — Recv delivers
+// it, in submission order. ev follows the ApplyBatch conventions: Type must be a serving
 // event type and CostScale is ignored (discounts are granted only by
 // the catalog's acquire protocol). Unlike ApplyBatch, catalog-managed
 // events are first-class: an arrival or departure carrying a CatalogID
@@ -169,10 +162,12 @@ func (sc *StreamConn) Submit(ctx context.Context, ev Event) error {
 	var p *streamPending
 	select {
 	case p = <-sc.free:
-		*p = streamPending{seq: sc.seq, typ: ev.Type, id: ev.CatalogID, ack: p.ack}
+		p.single = single{done: p.done}
 	default:
-		p = &streamPending{seq: sc.seq, typ: ev.Type, id: ev.CatalogID, ack: make(chan result, 1)}
+		p = &streamPending{single: single{done: make(chan struct{}, 1)}}
 	}
+	p.seq = sc.seq
+	p.ev[0] = ev
 	if sc.window == BackpressureReject {
 		select {
 		case sc.pending <- p:
@@ -197,77 +192,11 @@ func (sc *StreamConn) Submit(ctx context.Context, ev Event) error {
 		}
 	}
 	sc.seq++
-	sc.route(ctx, ev, p)
+	if _, err := sc.c.submitWindow(ctx, ev.Tenant, p.window(), p.tk[:0]); err != nil {
+		p.out[0] = result{err: err}
+		p.done <- struct{}{}
+	}
 	return nil
-}
-
-// route validates and enqueues one slotted event, running the catalog
-// acquire protocol for catalog-managed arrivals and departures. Any
-// failure is delivered into the event's ack so the receiver sees it
-// in-band, in order.
-func (sc *StreamConn) route(ctx context.Context, ev Event, p *streamPending) {
-	fail := func(err error) { p.ack <- result{err: err} }
-	if err := validEventType(ev.Type); err != nil {
-		fail(err)
-		return
-	}
-	// Discounts and fleet references are granted only by the catalog's
-	// own acquire protocol, never by a caller-supplied event (the
-	// ApplyBatch rule).
-	ev.CostScale = 0
-	if ev.CatalogID != "" && ev.Type != EventStreamArrival && ev.Type != EventStreamDeparture {
-		ev.CatalogID, p.id = "", ""
-	}
-	// The acquire protocol and the enqueue share one read-locked section
-	// (Reshard swaps the layout and the registry under the write lock,
-	// and a pinned stream's tenant may change shard between two events);
-	// the lock is never held across a result wait.
-	c := sc.c
-	c.mu.RLock()
-	if ev.CatalogID != "" {
-		reg, err := c.catalogFor(ev.Tenant)
-		if err != nil {
-			c.mu.RUnlock()
-			fail(err)
-			return
-		}
-		switch ev.Type {
-		case EventStreamArrival:
-			// Acquire prices the admission and takes a provisional
-			// reference so a concurrent departure cannot evict the
-			// origin while this event crosses the shard queue (see
-			// OfferCatalogStream).
-			tk, err := reg.Acquire(ev.CatalogID, ev.Tenant)
-			if err != nil {
-				c.mu.RUnlock()
-				fail(wrapCatalogErr(err))
-				return
-			}
-			p.catalogOffer = true
-			p.tk = tk
-			p.fullCost = c.tenants[ev.Tenant].Instance().StreamCostSum(tk.Local)
-			ev.Stream, ev.CostScale, ev.originPayer = tk.Local, tk.Scale, tk.OriginPayer
-		case EventStreamDeparture:
-			local, err := reg.Lookup(ev.CatalogID, ev.Tenant)
-			if err != nil {
-				c.mu.RUnlock()
-				fail(wrapCatalogErr(err))
-				return
-			}
-			ev.Stream = local
-		}
-	}
-	err := c.enqueueLocked(ctx, ev.Tenant, message{ev: ev, ack: p.ack})
-	if err != nil && p.catalogOffer {
-		// Never enqueued: the provisional reference is dropped (still
-		// under the lock, so it reaches the registry that granted it;
-		// once enqueued, the worker settles it — see applyArrival).
-		c.catalog.Release(ev.CatalogID, ev.Tenant, false, p.tk.OriginPayer)
-	}
-	c.mu.RUnlock()
-	if err != nil {
-		fail(err)
-	}
 }
 
 // Recv returns the next event's typed result, in submission order. It
@@ -302,16 +231,10 @@ func (sc *StreamConn) Recv(ctx context.Context) (StreamResult, error) {
 			}
 		}
 	}
-	if done == nil {
-		res := <-sc.head.ack
-		return sc.settleHead(res), nil
+	if err := awaitReply(ctx, sc.head.done); err != nil {
+		return StreamResult{}, err
 	}
-	select {
-	case res := <-sc.head.ack:
-		return sc.settleHead(res), nil
-	case <-done:
-		return StreamResult{}, fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
-	}
+	return sc.settleHead(), nil
 }
 
 // poisonRecycled, when non-nil (set only by test builds), scribbles a
@@ -322,14 +245,16 @@ func (sc *StreamConn) Recv(ctx context.Context) (StreamResult, error) {
 var poisonRecycled func(*streamPending)
 
 // settleHead assembles the head's result and recycles the entry
-// (called with recvMu held, after its ack was consumed). Ownership
+// (called with recvMu held, after its reply was consumed). Ownership
 // rule: the receiver — and only the receiver, only after draining the
-// entry's ack — puts the entry back; entries abandoned by Close are
+// entry's reply — puts the entry back; entries abandoned by Close are
 // leaked to the garbage collector, never recycled.
-func (sc *StreamConn) settleHead(res result) StreamResult {
+func (sc *StreamConn) settleHead() StreamResult {
 	p := sc.head
 	sc.head = nil
-	out := assembleResult(p, res)
+	r := sc.c.eventResult(&p.ev[0], &p.tk[0], &p.out[0])
+	out := StreamResult{Seq: p.seq, Type: r.Type, CatalogID: r.CatalogID, Offer: r.Offer,
+		Depart: r.Depart, Churn: r.Churn, Resolve: r.Resolve, Catalog: r.Catalog, Err: r.Err}
 	if poisonRecycled != nil {
 		poisonRecycled(p)
 	}
@@ -360,49 +285,11 @@ func (sc *StreamConn) TryRecv() (StreamResult, bool) {
 		}
 	}
 	select {
-	case res := <-sc.head.ack:
-		return sc.settleHead(res), true
+	case <-sc.head.done:
+		return sc.settleHead(), true
 	default:
 		return StreamResult{}, false
 	}
-}
-
-// assembleResult builds the typed StreamResult for a settled event.
-func assembleResult(p *streamPending, res result) StreamResult {
-	out := StreamResult{Seq: p.seq, Type: p.typ, CatalogID: p.id, Err: res.err}
-	switch {
-	case res.err != nil:
-	case p.id != "" && p.typ == EventStreamArrival:
-		out.Catalog = CatalogResult{
-			Admitted:    res.offer.Accepted,
-			Subscribers: res.offer.Subscribers,
-			Utility:     res.offer.Utility,
-			Refs:        res.refs,
-			SharedWith:  p.tk.SharedWith,
-			CostScale:   p.tk.Scale,
-			FullCost:    p.fullCost,
-			Evicted:     res.evicted,
-		}
-		if out.Catalog.Admitted {
-			out.Catalog.CostCharged = p.tk.Scale * p.fullCost
-		}
-	case p.id != "" && p.typ == EventStreamDeparture:
-		out.Catalog = CatalogResult{
-			Removed:     res.depart.Removed,
-			Subscribers: res.depart.Subscribers,
-			Refs:        res.refs,
-			Evicted:     res.evicted,
-		}
-	case p.typ == EventStreamArrival:
-		out.Offer = res.offer
-	case p.typ == EventStreamDeparture:
-		out.Depart = res.depart
-	case p.typ == EventUserLeave, p.typ == EventUserJoin:
-		out.Churn = res.churn
-	case p.typ == EventResolve:
-		out.Resolve = res.resolve
-	}
-	return out
 }
 
 // CloseSend ends the submit side: subsequent Submits fail with

@@ -29,7 +29,7 @@ func streamTestClusters(t *testing.T, n, tenants, shards int) []*Cluster {
 			}
 			cfgs[i] = TenantConfig{Instance: in}
 		}
-		c, err := New(cfgs, Options{Shards: shards, BatchSize: 8})
+		c, err := New(cfgs, Options{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,18 +92,18 @@ func applySingle(t *testing.T, c *Cluster, seq int, ev Event) StreamResult {
 	return out
 }
 
-// TestStreamMatchesSingleAndBatch is the v4 parity acceptance check: a
-// pipelined stream must produce per-event results and fleet snapshots
-// bit-identical to the same schedule submitted as single session calls
-// — including the shard stats, since an acked arrival is its own flush
-// boundary on both paths — and per-tenant tables identical to the
-// ApplyBatch path, at every shard count.
+// TestStreamMatchesSingleAndBatch is the submission-path parity
+// acceptance check: a pipelined stream must produce per-event results
+// bit-identical to the same schedule submitted as single session calls,
+// and the stream, ApplyBatch, and fire-and-forget post paths must all
+// leave fleet snapshots — shard table included — bit-identical to the
+// single calls', at every shard count.
 func TestStreamMatchesSingleAndBatch(t *testing.T) {
 	const tenants = 3
 	schedule := streamSchedule(tenants)
 	for _, shards := range []int{1, 2, 4, 8} {
-		cs := streamTestClusters(t, 3, tenants, shards)
-		single, streamed, batched := cs[0], cs[1], cs[2]
+		cs := streamTestClusters(t, 4, tenants, shards)
+		single, streamed, batched, posted := cs[0], cs[1], cs[2], cs[3]
 
 		// Reference: single session calls in schedule order.
 		want := make([]StreamResult, len(schedule))
@@ -166,25 +166,24 @@ func TestStreamMatchesSingleAndBatch(t *testing.T) {
 			}
 		}
 
+		// Posted: the whole schedule fire-and-forget.
+		if err := posted.post(schedule...); err != nil {
+			t.Fatal(err)
+		}
+
 		sfs, err := single.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		stfs, err := streamed.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		bfs, err := batched.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := stfs.Render(), sfs.Render(); got != want {
-			t.Fatalf("shards=%d: streamed snapshot diverged from single posts:\n--- stream\n%s\n--- single\n%s",
-				shards, got, want)
-		}
-		if got, want := bfs.RenderTenants(), sfs.RenderTenants(); got != want {
-			t.Fatalf("shards=%d: batch tenant tables diverged:\n--- batch\n%s\n--- single\n%s",
-				shards, got, want)
+		for name, c := range map[string]*Cluster{"stream": streamed, "batch": batched, "post": posted} {
+			fs, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fs.Render(), sfs.Render(); got != want {
+				t.Fatalf("shards=%d: %s snapshot diverged from single calls:\n--- %s\n%s\n--- single\n%s",
+					shards, name, name, got, want)
+			}
 		}
 	}
 }

@@ -563,11 +563,13 @@ func (c *Cluster) verifyManifest(m *wal.Manifest) error {
 }
 
 // feedReplay drives log records with from < Seq <= to into the
-// cluster: event-plane records go through the shard channels
-// (fire-and-forget, exactly the normal ingest path), registry-plane
-// records replay synchronously into the owner. The final barrier
-// (Snapshot) is the caller's job.
+// cluster: event-plane records go through the shard queues as windows
+// with no reply (post — the normal ingest path), registry-plane records
+// replay synchronously into the owner. The two planes are independent
+// during replay (workers issue no settlements), so the events are
+// posted after the scan; the closing barrier waits for them.
 func (c *Cluster) feedReplay(recs []wal.Record, from, to uint64) (events, catOps int, err error) {
+	var evs []Event
 	for i := range recs {
 		r := &recs[i]
 		if r.Seq <= from || r.Seq > to {
@@ -606,9 +608,12 @@ func (c *Cluster) feedReplay(recs []wal.Record, from, to uint64) (events, catOps
 				return events, catOps, fmt.Errorf("cluster: replay: record seq %d: tenant %d out of range [0,%d)",
 					r.Seq, ev.Tenant, len(c.tenants))
 			}
-			c.shards[c.shardOf[ev.Tenant]].ch <- message{ev: ev}
+			evs = append(evs, ev)
 			events++
 		}
+	}
+	if err := c.post(evs...); err != nil {
+		return events, catOps, err
 	}
 	if _, err := c.Snapshot(); err != nil {
 		return events, catOps, err

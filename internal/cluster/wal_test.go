@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/wal"
@@ -37,7 +38,7 @@ func walTenantConfigs(t *testing.T, n, channels, gateways int, seed int64) []Ten
 }
 
 func walFleetOptions(n, channels, shards int, model catalog.CostModel, wopts *WALOptions) Options {
-	opts := Options{Shards: shards, BatchSize: 8, WAL: wopts}
+	opts := Options{Shards: shards, WAL: wopts}
 	if model != nil {
 		bindings := catalog.IdentityBindings(n, channels, func(s int) catalog.ID {
 			return catalog.ID(fmt.Sprintf("s-%03d", s))
@@ -409,21 +410,30 @@ func TestWALAutoCheckpoint(t *testing.T) {
 		&WALOptions{Dir: dir, Sync: wal.SyncNone, CheckpointEvery: 50})
 	steps := catalogScheduleFor(tenants, channels, 39)
 	driveCatalogSchedule(t, c, steps, 0)
+	manifests := func() int {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, e := range ents {
+			if strings.HasPrefix(e.Name(), "ckpt-") {
+				n++
+			}
+		}
+		return n
+	}
+	// The automatic checkpoint runs on its own goroutine after the kick;
+	// give it time to land before Close, which would otherwise win the
+	// race now and then and leave only the closing manifest.
+	for deadline := time.Now().Add(5 * time.Second); manifests() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	wantTen, wantCat := fleetRenders(t, c)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	manifests := 0
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "ckpt-") {
-			manifests++
-		}
-	}
-	if manifests < 2 {
+	if manifests := manifests(); manifests < 2 {
 		t.Fatalf("got %d manifests, want at least an auto checkpoint plus the close", manifests)
 	}
 	rec, rep, err := Recover(walTenantConfigs(t, tenants, channels, gateways, seed),

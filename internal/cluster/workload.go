@@ -74,31 +74,27 @@ func (w Workload) EventsForInstance(in *mmd.Instance, ti int) []Event {
 	return evs
 }
 
-// RunWorkload generates every tenant's schedule and submits the events
-// round-robin across tenants (interleaving tenants within each shard's
-// queue, which is what exercises batching), then waits for all shards
+// RunWorkload generates every tenant's schedule, submits the events
+// round-robin across tenants fire-and-forget, then waits for all shards
 // to drain via a snapshot barrier. It returns the quiesced fleet
 // snapshot and the total number of events submitted.
 //
-// Replay is fire-and-forget: events are enqueued without completion
-// channels, so arrivals coalesce into full batches and the snapshot is
-// the only synchronization point. The replay always blocks on a full
-// shard queue (backpressure by blocking, regardless of
-// Options.Backpressure) so a deterministic schedule is never dropped.
+// Results are observed only through the snapshot, so the replay needs
+// no replies: post hands each shard its share of the schedule in
+// windows with no reply, always blocking on a full shard queue
+// (regardless of Options.Backpressure) so a deterministic schedule is
+// never dropped.
 func (c *Cluster) RunWorkload(w Workload) (*FleetSnapshot, int, error) {
 	seqs := make([][]Event, len(c.tenants))
 	for ti := range c.tenants {
 		seqs[ti] = w.Events(c, ti)
 	}
-	total := 0
+	var all []Event
 	for i := 0; ; i++ {
 		any := false
 		for ti := range seqs {
 			if i < len(seqs[ti]) {
-				if err := c.post(seqs[ti][i]); err != nil {
-					return nil, total, fmt.Errorf("cluster: workload: %w", err)
-				}
-				total++
+				all = append(all, seqs[ti][i])
 				any = true
 			}
 		}
@@ -106,24 +102,50 @@ func (c *Cluster) RunWorkload(w Workload) (*FleetSnapshot, int, error) {
 			break
 		}
 	}
+	if err := c.post(all...); err != nil {
+		return nil, 0, fmt.Errorf("cluster: workload: %w", err)
+	}
 	fs, err := c.Snapshot()
 	if err != nil {
-		return nil, total, err
+		return nil, len(all), err
 	}
-	return fs, total, nil
+	return fs, len(all), nil
 }
 
-// post enqueues one event fire-and-forget, always blocking when the
-// shard queue is full. Results are observed via Snapshot.
-func (c *Cluster) post(ev Event) error {
-	if ev.Tenant < 0 || ev.Tenant >= len(c.tenants) {
-		return fmt.Errorf("%w: tenant %d out of range [0,%d)", ErrUnknownTenant, ev.Tenant, len(c.tenants))
-	}
+// postWindow is the number of events post hands a shard per window: a
+// window amortizes one queue crossing over its events, and a bound
+// keeps every shard fed while the others' windows are being cut.
+const postWindow = 64
+
+// post enqueues events fire-and-forget: each shard receives its share,
+// in submission order, as windows of up to postWindow events with no
+// reply, so per-tenant order is the order given. A failed re-solve
+// latches as its shard's error (surfaced by Snapshot and Close). Sends
+// block when a shard queue is full.
+func (c *Cluster) post(evs ...Event) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed {
 		return ErrClosed
 	}
-	c.shards[c.shardOf[ev.Tenant]].ch <- message{ev: ev}
-	return nil
+	perShard := make([][]Event, len(c.shards))
+	for _, ev := range evs {
+		if ev.Tenant < 0 || ev.Tenant >= len(c.tenants) {
+			return fmt.Errorf("%w: tenant %d out of range [0,%d)", ErrUnknownTenant, ev.Tenant, len(c.tenants))
+		}
+		s := c.shardOf[ev.Tenant]
+		perShard[s] = append(perShard[s], ev)
+	}
+	for off := 0; ; off += postWindow {
+		sent := false
+		for s, q := range perShard {
+			if off < len(q) {
+				c.shards[s].ch <- message{win: window{evs: q[off:min(off+postWindow, len(q))]}}
+				sent = true
+			}
+		}
+		if !sent {
+			return nil
+		}
+	}
 }

@@ -82,7 +82,7 @@ func E13SharedCatalog(cfg E13Config) (*Table, error) {
 			return catalog.ID(fmt.Sprintf("s-%03d", s))
 		})
 		c, err := cluster.New(tenants, cluster.Options{
-			Shards: 4, BatchSize: 8,
+			Shards:  4,
 			Catalog: &cluster.CatalogOptions{Streams: bindings, CostModel: model},
 		})
 		if err != nil {

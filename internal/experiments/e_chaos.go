@@ -61,7 +61,7 @@ var e15Models = []struct {
 // e15Options builds the fleet options for one drill run.
 func e15Options(cfg E15Config, shards int, model catalog.CostModel) cluster.Options {
 	return cluster.Options{
-		Shards: shards, BatchSize: 8,
+		Shards: shards,
 		Catalog: &cluster.CatalogOptions{
 			Streams:   catalog.IdentityBindings(cfg.Tenants, cfg.Channels, e14ChannelID),
 			CostModel: model,

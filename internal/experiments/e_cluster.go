@@ -69,7 +69,7 @@ func E12Cluster(cfg E12Config) (*Table, error) {
 			}
 			tenants[i] = cluster.TenantConfig{Instance: in}
 		}
-		c, err := cluster.New(tenants, cluster.Options{Shards: shards, BatchSize: 8})
+		c, err := cluster.New(tenants, cluster.Options{Shards: shards})
 		if err != nil {
 			return nil, err
 		}

@@ -156,7 +156,7 @@ func E14CrashRecovery(cfg E14Config) (*Table, error) {
 		recoverShards := cfg.ShardCounts[(si+1)%len(cfg.ShardCounts)]
 		for _, m := range models {
 			opts := cluster.Options{
-				Shards: shards, BatchSize: 8,
+				Shards: shards,
 				Catalog: &cluster.CatalogOptions{
 					Streams:   catalog.IdentityBindings(cfg.Tenants, cfg.Channels, e14ChannelID),
 					CostModel: m.model,

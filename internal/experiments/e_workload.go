@@ -162,7 +162,7 @@ func E16FlashCrowd(cfg E16Config) (*Table, error) {
 				return nil, err
 			}
 			c, err := cluster.New(tenants, cluster.Options{
-				Shards: shards, BatchSize: 8,
+				Shards: shards,
 				Catalog: &cluster.CatalogOptions{
 					Streams:   catalog.IdentityBindings(cfg.Tenants, cfg.Channels, e14ChannelID),
 					CostModel: m.model,

@@ -53,7 +53,7 @@ func buildCluster(t *testing.T, shards int, model catalog.CostModel, svc catalog
 		tenants[i] = videodist.ClusterTenant{Instance: in}
 	}
 	c, err := videodist.NewCluster(tenants, videodist.ClusterOptions{
-		Shards: shards, BatchSize: 4,
+		Shards: shards,
 		Catalog: &videodist.CatalogOptions{
 			Streams: videodist.IdentityCatalogBindings(rigTenants, rigChannels,
 				func(s int) videodist.CatalogID { return videodist.CatalogID(rigChannelID(s)) }),

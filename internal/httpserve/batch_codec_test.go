@@ -42,21 +42,42 @@ func stdlibBatchEvents(t *testing.T, body string) ([]videodist.ClusterEvent, []s
 	return s.events, s.types
 }
 
+// canonicalBatchBodies are batch bodies the fast path must accept.
+var canonicalBatchBodies = []string{
+	canonicalBatchBody,
+	`[]`,
+	` [ ] `,
+	`[{"type":"offer","stream":7}]`,
+	`[{"type":"catalog-offer","catalog_id":"ch-003"},{"type":"catalog-depart","catalog_id":"ch-003"}]`,
+	"[\n  {\"type\": \"offer\", \"stream\": 2},\n  {\"type\": \"leave\", \"user\": 1}\n]\n",
+}
+
+// nonCanonicalBatchBodies are bodies the fast path must hand to the
+// stdlib decoder.
+var nonCanonicalBatchBodies = []string{
+	`{"type":"offer"}`,                                          // not an array
+	`[{"type":"offer","stream":3}`,                              // unterminated
+	`[{"type":"offer","stream":3}] trail`,                       // trailing garbage
+	`[{"type":"of\u0066er","stream":3}]`,                        // escape in string
+	`[{"type":"offer","nested":{"a":1}}]`,                       // nested object
+	`[{"type":"offer","stream":[1]}]`,                           // nested array
+	`[{"type":"offer","stream":3},]`,                            // trailing comma
+	`[{"type":"mystery"}]`,                                      // unknown token: stdlib shapes the error
+	`[{"type":"offer","stream":123456789012345}]`,               // fast-int overflow
+	"[{\"type\":\"catalog-offer\",\"catalog_id\":\"ch\t003\"}]", // raw control byte: invalid JSON
+}
+
+// semanticRejectBody is canonical JSON the batch path rejects: its
+// second event is a catalog offer with no catalog_id.
+const semanticRejectBody = `[{"type":"offer"},{"type":"catalog-offer"}]`
+
 // TestFastParseBatchMatchesStdlib pins the batch array scanner against
 // the stdlib path: every body it accepts must produce exactly the
 // events the stdlib decode produces, and everything it rejects must be
 // either non-canonical (stdlib fallback handles it) or carry the same
 // rejection the stdlib path reports.
 func TestFastParseBatchMatchesStdlib(t *testing.T) {
-	accept := []string{
-		canonicalBatchBody,
-		`[]`,
-		` [ ] `,
-		`[{"type":"offer","stream":7}]`,
-		`[{"type":"catalog-offer","catalog_id":"ch-003"},{"type":"catalog-depart","catalog_id":"ch-003"}]`,
-		"[\n  {\"type\": \"offer\", \"stream\": 2},\n  {\"type\": \"leave\", \"user\": 1}\n]\n",
-	}
-	for _, body := range accept {
+	for _, body := range canonicalBatchBodies {
 		var s batchScratch
 		ok, err := fastParseBatch([]byte(body), &s)
 		if !ok || err != nil {
@@ -72,19 +93,7 @@ func TestFastParseBatchMatchesStdlib(t *testing.T) {
 		}
 	}
 
-	// Bodies the fast path must hand to the stdlib decoder.
-	fallback := []string{
-		`{"type":"offer"}`,                            // not an array
-		`[{"type":"offer","stream":3}`,                // unterminated
-		`[{"type":"offer","stream":3}] trail`,         // trailing garbage
-		`[{"type":"of\u0066er","stream":3}]`,          // escape in string
-		`[{"type":"offer","nested":{"a":1}}]`,         // nested object
-		`[{"type":"offer","stream":[1]}]`,             // nested array
-		`[{"type":"offer","stream":3},]`,              // trailing comma
-		`[{"type":"mystery"}]`,                        // unknown token: stdlib shapes the error
-		`[{"type":"offer","stream":123456789012345}]`, // fast-int overflow
-	}
-	for _, body := range fallback {
+	for _, body := range nonCanonicalBatchBodies {
 		var s batchScratch
 		if ok, _ := fastParseBatch([]byte(body), &s); ok {
 			t.Errorf("fast path accepted non-canonical body %q", body)
@@ -94,7 +103,7 @@ func TestFastParseBatchMatchesStdlib(t *testing.T) {
 	// Semantic rejections surface from the fast path with the same
 	// message the stdlib path produces.
 	var s batchScratch
-	ok, err := fastParseBatch([]byte(`[{"type":"offer"},{"type":"catalog-offer"}]`), &s)
+	ok, err := fastParseBatch([]byte(semanticRejectBody), &s)
 	if !ok || err == nil || !strings.Contains(err.Error(), "batch event 1: catalog-offer needs catalog_id") {
 		t.Fatalf("missing catalog_id: ok=%v err=%v", ok, err)
 	}

@@ -10,28 +10,46 @@ import (
 	"repro/streamclient"
 )
 
+// canonicalLines are wire lines in the shape every known client emits.
+var canonicalLines = []string{
+	`{"tenant":0,"type":"offer","stream":3}`,
+	`{"tenant":7,"type":"depart","stream":12}`,
+	`{"tenant":1,"type":"leave","user":4}`,
+	`{"tenant":1,"type":"join","user":0}`,
+	`{"tenant":2,"type":"resolve","install":true}`,
+	`{"tenant":2,"type":"resolve","install":false}`,
+	`{"tenant":0,"type":"catalog-offer","catalog_id":"ch-003"}`,
+	`{"tenant":3,"type":"catalog-depart","catalog_id":"espn-hd"}`,
+	` { "tenant" : 5 , "type" : "offer" , "stream" : 9 } `,
+	`{"type":"offer","tenant":4,"stream":1}`, // key order free
+	`{"tenant":-1,"type":"offer"}`,           // negative int
+	`{"tenant":0,"type":"offer","stream":123456789}`,
+	"{}",
+}
+
+// nonCanonicalLines are lines the fast path must hand to the stdlib:
+// exotic but valid JSON (which keeps working through the fallback) and
+// invalid JSON (which the stdlib rejects with its own message).
+var nonCanonicalLines = []string{
+	`{"tenant":0,"type":"of\u0066er","stream":3}`,                          // escape in string
+	`{"tenant":0,"type":"offer","stream":3,"extra":1}`,                     // unknown key
+	`{"tenant":0,"type":"offer","stream":3.0}`,                             // float
+	`{"tenant":12345678901,"type":"offer"}`,                                // would overflow the fast int
+	`{"tenant":0,"type":"offer","catalog_id":"żółć"}`,                      // non-ASCII string
+	`{"tenant":0,"type":"offer","stream":null}`,                            // null value
+	`{"tenant": 0, "type": "offer", "stream": 2} trail`,                    // trailing garbage
+	`{"tenant":0,"type":"offer","stream":007}`,                             // leading zero: invalid JSON
+	`{"tenant":-01,"type":"offer"}`,                                        // leading zero after sign
+	"{\"tenant\":0,\"type\":\"catalog-offer\",\"catalog_id\":\"ch\t003\"}", // raw control byte: invalid JSON
+}
+
 // TestFastParseMatchesStdlib pins the hand-rolled line scanner against
 // the stdlib decoder: on every line it accepts, the parsed event must
 // equal json.Unmarshal's; lines it rejects must still round-trip
 // through the fallback, so parseStreamEvent is stdlib-equivalent on
 // all valid input.
 func TestFastParseMatchesStdlib(t *testing.T) {
-	lines := []string{
-		`{"tenant":0,"type":"offer","stream":3}`,
-		`{"tenant":7,"type":"depart","stream":12}`,
-		`{"tenant":1,"type":"leave","user":4}`,
-		`{"tenant":1,"type":"join","user":0}`,
-		`{"tenant":2,"type":"resolve","install":true}`,
-		`{"tenant":2,"type":"resolve","install":false}`,
-		`{"tenant":0,"type":"catalog-offer","catalog_id":"ch-003"}`,
-		`{"tenant":3,"type":"catalog-depart","catalog_id":"espn-hd"}`,
-		` { "tenant" : 5 , "type" : "offer" , "stream" : 9 } `,
-		`{"type":"offer","tenant":4,"stream":1}`, // key order free
-		`{"tenant":-1,"type":"offer"}`,           // negative int
-		`{"tenant":0,"type":"offer","stream":123456789}`,
-		"{}",
-	}
-	for _, line := range lines {
+	for _, line := range canonicalLines {
 		var want streamclient.Event
 		if err := json.Unmarshal([]byte(line), &want); err != nil {
 			t.Fatalf("bad test line %q: %v", line, err)
@@ -40,21 +58,7 @@ func TestFastParseMatchesStdlib(t *testing.T) {
 			t.Errorf("fast parse of %q = %+v, stdlib %+v", line, got, want)
 		}
 	}
-
-	// Lines the fast path must hand to the stdlib — exotic but valid
-	// JSON keeps working through the fallback.
-	fallback := []string{
-		`{"tenant":0,"type":"of\u0066er","stream":3}`,       // escape in string
-		`{"tenant":0,"type":"offer","stream":3,"extra":1}`,  // unknown key
-		`{"tenant":0,"type":"offer","stream":3.0}`,          // float
-		`{"tenant":12345678901,"type":"offer"}`,             // would overflow the fast int
-		`{"tenant":0,"type":"offer","catalog_id":"żółć"}`,   // non-ASCII string
-		`{"tenant":0,"type":"offer","stream":null}`,         // null value
-		`{"tenant": 0, "type": "offer", "stream": 2} trail`, // trailing garbage
-		`{"tenant":0,"type":"offer","stream":007}`,          // leading zero: invalid JSON
-		`{"tenant":-01,"type":"offer"}`,                     // leading zero after sign
-	}
-	for _, line := range fallback {
+	for _, line := range nonCanonicalLines {
 		if _, ok := fastParseEvent([]byte(line)); ok {
 			t.Errorf("fast path accepted non-canonical line %q", line)
 		}

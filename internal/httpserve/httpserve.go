@@ -509,7 +509,8 @@ func parseStreamEvent(line []byte) (videodist.ClusterEvent, uint64, error) {
 }
 
 // fastParseEvent scans a canonical wire line (a flat JSON object of
-// known keys with integer, boolean, or escape-free string values). ok
+// known keys with integer, boolean, or printable-ASCII escape-free
+// string values). ok
 // false means "not provably canonical — use the stdlib", never an
 // error of its own.
 func fastParseEvent(line []byte) (streamclient.Event, bool) {
@@ -604,7 +605,10 @@ func fastParseEvent(line []byte) (streamclient.Event, bool) {
 			i++
 			vs := i
 			for i < n && line[i] != '"' {
-				if line[i] == '\\' || line[i] >= 0x7f {
+				// Escapes, control bytes (invalid raw in a JSON string)
+				// and non-ASCII (the stdlib's UTF-8 repair) are the
+				// stdlib's to handle.
+				if line[i] == '\\' || line[i] < 0x20 || line[i] >= 0x7f {
 					return ev, false
 				}
 				i++

@@ -398,13 +398,19 @@ func (l *Log) writeManifestLocked(m Manifest) error {
 // Close seals the active generation (flush + fsync + close) and writes
 // a closing manifest when one is supplied. Idempotent.
 func (l *Log) Close(m *Manifest) error {
+	// Stop and join the interval syncer before sealing, outside l.mu:
+	// its tick takes l.mu, so waiting for it under the lock deadlocks
+	// when a tick fires just before the stop.
+	l.mu.Lock()
+	stop, done := l.syncStop, l.syncDone
+	l.syncStop, l.syncDone = nil, nil
+	l.mu.Unlock()
+	if stop != nil {
+		close(stop)
+		<-done
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.syncStop != nil {
-		close(l.syncStop)
-		<-l.syncDone
-		l.syncStop, l.syncDone = nil, nil
-	}
 	if l.flusher != nil {
 		// Committers are drained before the log closes, so no Flush is
 		// in flight; stop the round loop before sealing.

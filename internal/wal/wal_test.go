@@ -447,3 +447,38 @@ func TestParseGen(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseJoinsIntervalSyncer is the regression test for Close waiting
+// on the SyncInterval syncer while holding the lock the syncer's tick
+// takes: with a 20µs interval a tick lands just before the stop within
+// a few hundred Open → Begin → Close cycles on a real directory, and the
+// old Close hung there forever. The loop runs inside a watchdog so a regression fails
+// instead of stalling the suite.
+func TestCloseJoinsIntervalSyncer(t *testing.T) {
+	dir := t.TempDir()
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 500; i++ {
+			l, err := Open(Options{Dir: dir, Sync: SyncInterval, SyncInterval: 20 * time.Microsecond})
+			if err == nil {
+				err = l.Begin([]string{ShardWriter(0), CatalogWriter})
+			}
+			if err == nil {
+				err = l.Close(nil)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Open/Begin/Close loop hung: Close deadlocked against the interval syncer")
+	}
+}

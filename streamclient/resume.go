@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -56,8 +57,14 @@ type Session struct {
 	base string
 	opts SessionOptions
 
-	mu         sync.Mutex
-	conn       *Conn
+	mu   sync.Mutex
+	conn *Conn
+	// live mirrors conn and closing is set first thing by Close, so
+	// Close can tear the socket down without s.mu (which a sender
+	// parked mid-write holds) and the failed write does not redial.
+	live    atomic.Pointer[Conn]
+	closing atomic.Bool
+
 	nextSeq    uint64  // last assigned seq
 	ackSeq     uint64  // highest acked seq (results and dups)
 	wireSeq    uint64  // highest seq written to the current conn
@@ -68,6 +75,12 @@ type Session struct {
 	err        error // latched fatal error
 	dups       int
 	redials    int
+}
+
+// setConn replaces the current connection (called with s.mu held).
+func (s *Session) setConn(c *Conn) {
+	s.conn = c
+	s.live.Store(c)
 }
 
 // NewSession prepares a resumable session against an mmdserve base
@@ -179,7 +192,7 @@ func (s *Session) Recv() (Result, error) {
 			if done {
 				s.eof = true
 			} else if s.conn == c {
-				s.conn = nil // premature EOF: server went away mid-stream
+				s.setConn(nil) // premature EOF: server went away mid-stream
 			}
 			s.mu.Unlock()
 			if done {
@@ -204,7 +217,7 @@ func (s *Session) Recv() (Result, error) {
 		c.Close()
 		s.mu.Lock()
 		if s.conn == c {
-			s.conn = nil
+			s.setConn(nil)
 			if rerr := s.redialLocked(hint); rerr != nil {
 				s.mu.Unlock()
 				return Result{}, rerr
@@ -235,10 +248,14 @@ func (s *Session) ackLocked(seq uint64) {
 func (s *Session) redialLocked(hint time.Duration) error {
 	if s.conn != nil {
 		_ = s.conn.Close()
-		s.conn = nil
+		s.setConn(nil)
 	}
 	var lastErr error
 	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
+		if s.closing.Load() {
+			s.err = errSessionClosed
+			return s.err
+		}
 		if attempt > 0 || hint > 0 {
 			d := s.opts.BaseDelay << max(attempt-1, 0)
 			if d > s.opts.MaxDelay || d <= 0 {
@@ -264,7 +281,7 @@ func (s *Session) redialLocked(hint time.Duration) error {
 			lastErr = err
 			continue
 		}
-		s.conn = c
+		s.setConn(c)
 		s.wireSeq = s.nextSeq
 		s.redials++
 		return nil
@@ -306,7 +323,7 @@ func (s *Session) CloseSend() error {
 		// Transport death here is recoverable: drop the conn and let
 		// Recv's reconnect replay + re-close.
 		_ = s.conn.Close()
-		s.conn = nil
+		s.setConn(nil)
 	}
 	return nil
 }
@@ -315,18 +332,28 @@ func (s *Session) CloseSend() error {
 // client-side (the server applies whatever it read — reconnect later
 // with the same ID and the watermark still dedups).
 func (s *Session) Close() error {
+	// Close the socket before taking s.mu: a Send parked mid-write holds
+	// s.mu until its write fails, and only the close makes it fail.
+	s.closing.Store(true)
+	var err error
+	c := s.live.Load()
+	if c != nil {
+		err = c.Close()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err == nil {
-		s.err = fmt.Errorf("streamclient: session closed")
+		s.err = errSessionClosed
 	}
-	if s.conn != nil {
-		err := s.conn.Close()
-		s.conn = nil
-		return err
+	if s.conn != nil && s.conn != c {
+		// A redial that was already past its closing check.
+		err = s.conn.Close()
 	}
-	return nil
+	s.setConn(nil)
+	return err
 }
+
+var errSessionClosed = errors.New("streamclient: session closed")
 
 // Dups reports how many Dup-marked results this session has received —
 // each one is an event the exactly-once dedup kept from being applied

@@ -483,8 +483,12 @@ func (c *Conn) CloseSend() error {
 // CloseSend; for a graceful shutdown call CloseSend, drain Recv until
 // io.EOF, then Close.
 func (c *Conn) Close() error {
+	// Close the socket before taking sendMu: a sender parked mid-write
+	// holds sendMu until its write fails, and only the close makes it
+	// fail.
+	err := c.conn.Close()
 	c.sendMu.Lock()
 	c.sendClosed = true
 	c.sendMu.Unlock()
-	return c.conn.Close()
+	return err
 }
